@@ -33,6 +33,21 @@ void json_kv(std::ostringstream& os, const char* key, long long v,
   if (comma) os << ',';
 }
 
+/// The eight StreamFaultStats counters, in report order.
+void json_faults(std::ostringstream& os, const StreamFaultStats& f) {
+  auto kv = [&](const char* key, int v) {
+    json_kv(os, key, static_cast<long long>(v));
+  };
+  kv("overruns_injected", f.overruns_injected);
+  kv("overruns_policed", f.overruns_policed);
+  kv("aborted_frames", f.aborted_frames);
+  kv("forced_downgrades", f.forced_downgrades);
+  kv("quarantines", f.quarantines);
+  kv("quarantine_drops", f.quarantine_drops);
+  kv("lost_frames", f.lost_frames);
+  kv("failure_drops", f.failure_drops);
+}
+
 }  // namespace
 
 std::string summarize(const FarmResult& r) {
@@ -270,22 +285,7 @@ std::string to_json(const FarmResult& r) {
   json_kv(os, "mean_psnr", r.fleet_mean_psnr);
   json_kv(os, "mean_ssim", r.fleet_mean_ssim);
   json_kv(os, "total_concealed", r.total_concealed);
-  json_kv(os, "overruns_injected",
-          static_cast<long long>(r.faults_total.overruns_injected));
-  json_kv(os, "overruns_policed",
-          static_cast<long long>(r.faults_total.overruns_policed));
-  json_kv(os, "aborted_frames",
-          static_cast<long long>(r.faults_total.aborted_frames));
-  json_kv(os, "forced_downgrades",
-          static_cast<long long>(r.faults_total.forced_downgrades));
-  json_kv(os, "quarantines",
-          static_cast<long long>(r.faults_total.quarantines));
-  json_kv(os, "quarantine_drops",
-          static_cast<long long>(r.faults_total.quarantine_drops));
-  json_kv(os, "lost_frames",
-          static_cast<long long>(r.faults_total.lost_frames));
-  json_kv(os, "failure_drops",
-          static_cast<long long>(r.faults_total.failure_drops));
+  json_faults(os, r.faults_total);
   json_kv(os, "quarantined_streams",
           static_cast<long long>(r.quarantined_streams));
   json_kv(os, "failover_readmissions",
@@ -391,22 +391,7 @@ std::string to_json(const FarmResult& r) {
     json_kv(os, "max_start_lag", static_cast<long long>(so.max_start_lag));
     json_kv(os, "mean_start_lag", so.mean_start_lag);
     json_kv(os, "start_lag_p95", static_cast<long long>(so.start_lag_p95));
-    json_kv(os, "overruns_injected",
-            static_cast<long long>(so.faults.overruns_injected));
-    json_kv(os, "overruns_policed",
-            static_cast<long long>(so.faults.overruns_policed));
-    json_kv(os, "aborted_frames",
-            static_cast<long long>(so.faults.aborted_frames));
-    json_kv(os, "forced_downgrades",
-            static_cast<long long>(so.faults.forced_downgrades));
-    json_kv(os, "quarantines",
-            static_cast<long long>(so.faults.quarantines));
-    json_kv(os, "quarantine_drops",
-            static_cast<long long>(so.faults.quarantine_drops));
-    json_kv(os, "lost_frames",
-            static_cast<long long>(so.faults.lost_frames));
-    json_kv(os, "failure_drops",
-            static_cast<long long>(so.faults.failure_drops));
+    json_faults(os, so.faults);
     os << "\"quarantined\":" << (so.quarantined ? "true" : "false") << ',';
     json_kv(os, "failovers", static_cast<long long>(so.failover.size()));
     json_kv(os, "mean_psnr", so.result.mean_psnr);

@@ -1,9 +1,6 @@
 #include "farm/simulator.h"
 
 #include <algorithm>
-
-#include "farm/shard.h"
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -12,11 +9,12 @@
 #include <optional>
 #include <queue>
 #include <set>
-#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
 
+#include "farm/event_sink.h"
+#include "farm/shard.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -55,6 +53,11 @@ pipe::PipelineConfig stream_pipeline_config(const StreamSpec& spec,
   return cfg;
 }
 
+/// The budget epoch a fresh placement opens at `from`.
+BudgetEpoch opening_epoch(rt::Cycles from, const Placement& pl) {
+  return BudgetEpoch{from, pl.table_budget, pl.committed_cost, pl.system};
+}
+
 /// A processor outage interval injected by a FailureEvent: service is
 /// down for t in [start, end) (end = kNever when permanent).  Arrival
 /// concealment tests against these precomputed windows — never against
@@ -76,7 +79,6 @@ struct SegmentResult {
   /// display deadline; -1 when the segment never got one.  Recovery
   /// latency of a failover segment = first_ontime - failure time.
   rt::Cycles first_ontime = -1;
-  bool quarantined = false;
 };
 
 /// One frame a C=D split stream's head piece finished and handed to
@@ -145,16 +147,18 @@ struct PendingArrival {
 };
 
 /// One assigned stream segment's simulation state on its processor.
-struct StreamState {
+/// A C=D head piece (split_head > 0) encodes as usual but serves at
+/// most split_head cycles per frame under the tight head deadline,
+/// handing the remainder off.  A tail relay (relay == true) has *no
+/// session* — its frames' records are final when they arrive — and
+/// every session-touching path must be guarded on it.
+struct StreamState : Assignment {
   const StreamSpec* spec = nullptr;
   const std::vector<BudgetEpoch>* epochs = nullptr;
-  const std::vector<CertifiedRung>* ladder = nullptr;
   std::unique_ptr<pipe::StreamSession> session;
   std::optional<FaultPlan> plan;
   rt::Cycles period = 0;
   rt::Cycles latency = 0;
-  int first_frame = 0;
-  int end_frame = 0;
   int next_arrival = 0;  ///< next camera frame index to arrive
   int queued = 0;        ///< frames waiting (excluding dispatched ones)
   std::size_t epoch_idx = 0;  ///< budget epoch of the last dispatch
@@ -167,18 +171,7 @@ struct StreamState {
   /// worst case the policer cuts at (budget + migration surcharge).
   rt::Cycles enforce_budget = 0;
   rt::Cycles enforce_cost = 0;
-  pipe::FrameRecord* records = nullptr;
-  SegmentResult* res = nullptr;
-  /// C=D split roles.  A head piece (split_head > 0) encodes as usual
-  /// but serves at most split_head cycles per frame under the tight
-  /// head deadline, handing the remainder off.  A tail relay
-  /// (relay == true) has *no session* — its frames' records are final
-  /// when they arrive — and every session-touching path must be
-  /// guarded on it.
-  rt::Cycles split_head = 0;
-  std::vector<HandoffEntry>* handoff_out = nullptr;
   bool relay = false;
-  const std::vector<HandoffEntry>* handoff_in = nullptr;
   std::size_t next_handoff = 0;  ///< next handoff entry to release
 };
 
@@ -203,17 +196,13 @@ struct ActiveJob {
 /// Simulates one processor's run queue to completion under the
 /// scenario's scheduling policy.  Writes the per-stream frame records
 /// back through `assigned` (segments of one stream serve disjoint
-/// frame ranges, so no locking).  `metrics` (never null, always on),
-/// `trace` (null unless FarmConfig::trace), and `series` (null unless
-/// FarmConfig::ts_window) are this processor's private observability
-/// sinks; every trace or series emission is a branch on the null
-/// pointer, so the hot loop pays nothing when both are off.
+/// frame ranges, so no locking) and reports every event once to `ev`,
+/// this processor's private observability sink.
 void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
                    const FaultSpec& fault_spec,
                    const std::vector<Window>& windows,
                    const std::vector<Assignment>& assigned,
-                   ProcessorOutcome* out, obs::Registry* metrics,
-                   obs::TraceBuffer* trace, obs::SeriesRecorder* series) {
+                   ProcessorOutcome* out, EventSink& ev) {
   const std::unique_ptr<sched::SchedPolicy> policy =
       sched::make_policy(sched.policy);
   const rt::Cycles ctx = policy->context_switch_cost();
@@ -221,122 +210,20 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
   const bool inject_loss = fault_spec.loss.enabled();
   const OverrunSpec& ospec = fault_spec.overrun;
 
-  // Metric sinks, resolved once so the event loop records through
-  // plain references (the registry is per-processor, unshared).
-  long long& m_dispatched = metrics->counter("frames_dispatched");
-  long long& m_completed = metrics->counter("frames_completed");
-  long long& m_preemptions = metrics->counter("preemptions");
-  long long& m_concealed = metrics->counter("frames_concealed");
-  long long& m_display_misses = metrics->counter("display_misses");
-  long long& m_camera_skips = metrics->counter("camera_skips");
-  obs::Histogram& h_latency = metrics->histogram("frame_latency_cycles");
-  obs::Histogram& h_lag = metrics->histogram("start_lag_cycles");
-  obs::Histogram& h_qdepth = metrics->histogram("queue_depth");
-  obs::Histogram& h_encode = metrics->histogram("encode_cycles");
-  std::array<obs::Histogram*, enc::kNumEncodePhases> h_phase{};
-  for (int ph = 0; ph < enc::kNumEncodePhases; ++ph) {
-    h_phase[static_cast<std::size_t>(ph)] = &metrics->histogram(
-        std::string("phase_") +
-        enc::encode_phase_name(static_cast<enc::EncodePhase>(ph)) +
-        "_cycles");
-  }
-  // Cumulative per-phase cycles, the trace's phase counter tracks.
-  std::array<long long, enc::kNumEncodePhases> phase_total{};
-
-  // Time-series sinks, resolved once like the registry sinks: fleet
-  // tracks plus one `@class` variant per control mode (what the SLO
-  // class scopes read).  Busy cycles are recorded under the plain name
-  // here; run_farm re-labels each processor's copy as
-  // busy_cycles/cpu<p> for the per-processor utilization heatmap.
-  constexpr std::size_t kNumClasses = 3;
-  constexpr const char* kClassSuffix[kNumClasses] = {
-      "@controlled", "@constant", "@feedback"};
-  obs::SeriesTrack* s_latency = nullptr;
-  obs::SeriesTrack* s_queue = nullptr;
-  obs::SeriesTrack* s_encode = nullptr;
-  obs::SeriesTrack* s_busy = nullptr;
-  std::array<obs::SeriesTrack*, enc::kNumEncodePhases> s_phase{};
-  std::array<obs::SeriesTrack*, kNumClasses> s_latency_c{};
-  std::array<obs::SeriesTrack*, kNumClasses> s_completed_c{};
-  std::array<obs::SeriesTrack*, kNumClasses> s_misses_c{};
-  std::array<obs::SeriesTrack*, kNumClasses> s_concealed_c{};
-  obs::SeriesTrack* s_completed = nullptr;
-  obs::SeriesTrack* s_misses = nullptr;
-  obs::SeriesTrack* s_concealed = nullptr;
-  if (series != nullptr) {
-    s_latency = &series->track("frame_latency_cycles");
-    s_queue = &series->track("queue_depth");
-    s_encode = &series->track("encode_cycles");
-    s_busy = &series->track("busy_cycles");
-    s_completed = &series->track("frames_completed");
-    s_misses = &series->track("display_misses");
-    s_concealed = &series->track("frames_concealed");
-    for (int ph = 0; ph < enc::kNumEncodePhases; ++ph) {
-      s_phase[static_cast<std::size_t>(ph)] = &series->track(
-          std::string("phase_") +
-          enc::encode_phase_name(static_cast<enc::EncodePhase>(ph)) +
-          "_cycles");
-    }
-    for (std::size_t c = 0; c < kNumClasses; ++c) {
-      s_latency_c[c] =
-          &series->track(std::string("frame_latency_cycles") +
-                         kClassSuffix[c]);
-      s_completed_c[c] =
-          &series->track(std::string("frames_completed") + kClassSuffix[c]);
-      s_misses_c[c] =
-          &series->track(std::string("display_misses") + kClassSuffix[c]);
-      s_concealed_c[c] =
-          &series->track(std::string("frames_concealed") + kClassSuffix[c]);
-    }
-  }
-  auto ts_value = [&](obs::SeriesTrack* t, rt::Cycles at, long long v) {
-    if (series != nullptr) series->record(*t, at, v);
-  };
-  // One completed frame: fleet + class completion/latency counts and
-  // the encode-cycles track (the SLO latency and rate denominators).
-  auto ts_complete = [&](const StreamState& st, rt::Cycles at,
-                         long long latency, long long encode_cycles) {
-    if (series == nullptr) return;
-    const auto cls = static_cast<std::size_t>(st.spec->mode);
-    series->record(*s_completed, at, 1);
-    series->record(*s_completed_c[cls], at, 1);
-    series->record(*s_latency, at, latency);
-    series->record(*s_latency_c[cls], at, latency);
-    series->record(*s_encode, at, encode_cycles);
-  };
-  auto ts_miss = [&](const StreamState& st, rt::Cycles at,
-                     long long lateness) {
-    if (series == nullptr) return;
-    series->record(*s_misses, at, lateness);
-    series->record(*s_misses_c[static_cast<std::size_t>(st.spec->mode)],
-                   at, lateness);
-  };
-  auto ts_conceal = [&](const StreamState& st, rt::Cycles at) {
-    if (series == nullptr) return;
-    series->record(*s_concealed, at, 1);
-    series->record(*s_concealed_c[static_cast<std::size_t>(st.spec->mode)],
-                   at, 1);
-  };
-
   std::vector<StreamState> streams;
   streams.reserve(assigned.size());
   for (const Assignment& asg : assigned) {
     StreamState st;
+    static_cast<Assignment&>(st) = asg;
     st.spec = &asg.so->spec;
     st.epochs = asg.segment == 0
                     ? &asg.so->epochs
                     : &asg.so->failover[static_cast<std::size_t>(
                                             asg.segment - 1)]
                            .epochs;
-    st.ladder = asg.ladder;
     st.period = period_of(*st.spec);
     st.latency = latency_of(*st.spec);
-    st.first_frame = asg.first_frame;
-    st.end_frame = asg.end_frame;
     st.next_arrival = asg.first_frame;
-    st.split_head = asg.split_head;
-    st.handoff_out = asg.handoff_out;
-    st.handoff_in = asg.handoff_in;
     st.relay = asg.handoff_in != nullptr;
     if (!st.relay) {
       const BudgetEpoch& initial = st.epochs->front();
@@ -348,8 +235,6 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       st.enforce_budget = initial.table_budget;
       st.enforce_cost = initial.committed_cost;
     }
-    st.records = asg.records;
-    st.res = asg.res;
     streams.push_back(std::move(st));
   }
 
@@ -404,12 +289,9 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
   auto resolve_system = [&](StreamState& st, rt::Cycles arrival) {
     while (st.epoch_idx + 1 < st.epochs->size() &&
            (*st.epochs)[st.epoch_idx + 1].from_time <= arrival) {
-      if (trace != nullptr) {
-        trace->push(obs::EventKind::kEpochClose, now, st.spec->id, -1,
-                    (*st.epochs)[st.epoch_idx].table_budget);
-        trace->push(obs::EventKind::kEpochOpen, now, st.spec->id, -1,
-                    (*st.epochs)[st.epoch_idx + 1].table_budget);
-      }
+      ev.epoch_switch(now, st.spec->id,
+                      (*st.epochs)[st.epoch_idx].table_budget,
+                      (*st.epochs)[st.epoch_idx + 1].table_budget);
       ++st.epoch_idx;
     }
     const BudgetEpoch& ep = (*st.epochs)[st.epoch_idx];
@@ -430,14 +312,42 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     st.enforce_cost = budget + (ep.committed_cost - ep.table_budget);
   };
 
+  /// Cycles of service charged to this processor.
+  auto charge = [&](rt::Cycles cycles) {
+    out->busy_cycles += cycles;
+    ev.busy(now, cycles);
+  };
+
+  /// Conceals frame `f` of `st` — the viewer keeps the previous
+  /// picture — and tallies it: a quarantine drop against the stream,
+  /// any other reason as a fault conceal of this processor too.  A
+  /// relay has no session and marks the head's final record in place;
+  /// a session stream drops the frame unless it was caught in service,
+  /// whose record the caller already ran through lose().
+  auto conceal = [&](StreamState& st, int f, obs::ConcealReason reason,
+                     rt::Cycles cycles = 0, bool in_service = false) {
+    if (st.relay) {
+      st.records[f].lost = true;
+      st.records[f].concealed = true;
+    } else if (reason != obs::ConcealReason::kSuspendedOutage) {
+      st.records[f] = st.session->drop(f);
+    }
+    if (reason == obs::ConcealReason::kQuarantineDrop) {
+      ++st.res->faults.quarantine_drops;
+    } else {
+      ++st.res->faults.failure_drops;
+      ++out->fault_conceals;
+    }
+    ev.conceal(now, st.spec->mode, st.spec->id, f, reason, cycles,
+               in_service);
+  };
+
   auto dispatch = [&] {
     const FrameJob job = *ready.begin();
     ready.erase(ready.begin());
-    const int sid = streams[static_cast<std::size_t>(job.stream)].spec->id;
-    if (trace != nullptr) {
-      trace->push(obs::EventKind::kQueueDepth, now, -1, -1,
-                  static_cast<std::int64_t>(ready.size()));
-    }
+    StreamState& st = streams[static_cast<std::size_t>(job.stream)];
+    const int sid = st.spec->id;
+    ev.queue_depth(now, ready.size());
     ActiveJob a;
     const auto key = std::make_pair(job.stream, job.frame);
     auto it = suspended.find(key);
@@ -448,14 +358,10 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       suspended.erase(it);
       out->overhead_cycles += ctx;
       now += ctx;
-      if (trace != nullptr) {
-        trace->push(obs::EventKind::kResume, now, sid, job.frame,
-                    a.remaining);
-      }
-    } else if (streams[static_cast<std::size_t>(job.stream)].relay) {
+      ev.resume(now, sid, job.frame, a.remaining);
+    } else if (st.relay) {
       // Tail relay: the record is final; just serve the remaining
       // demand.  Dispatch/lag metrics were taken at the head.
-      StreamState& st = streams[static_cast<std::size_t>(job.stream)];
       --st.queued;
       const auto& entries = *st.handoff_in;
       const auto eit = std::lower_bound(
@@ -465,12 +371,8 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       a.rec = eit->rec;
       a.remaining = eit->demand;
       a.tail_demand = eit->demand;
-      if (trace != nullptr) {
-        trace->push(obs::EventKind::kDispatch, now, sid, job.frame,
-                    job.deadline);
-      }
+      ev.dispatch_relay(now, sid, job.frame, job.deadline);
     } else {
-      StreamState& st = streams[static_cast<std::size_t>(job.stream)];
       --st.queued;
       resolve_system(st, job.arrival);
       // Elapsed time is measured from service start (t0 = 0): the
@@ -505,15 +407,9 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       }
       a.remaining = demand - a.tail_demand;
       st.res->lags.push_back(a.rec.start_lag);
-      ++m_dispatched;
-      h_lag.record(a.rec.start_lag);
-      if (trace != nullptr) {
-        trace->push(obs::EventKind::kDispatch, now, sid, job.frame,
-                    job.deadline);
-        if (a.rec.overrun) {
-          trace->push(obs::EventKind::kFaultInject, now, sid, job.frame,
-                      demand, a.aborted ? 1u : 0u);
-        }
+      ev.dispatch(now, sid, job.frame, job.deadline, a.rec.start_lag);
+      if (a.rec.overrun) {
+        ev.overrun_inject(now, sid, job.frame, demand, a.aborted);
       }
     }
     a.dispatched_at = now;
@@ -546,164 +442,78 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
                       st.period;
         st.pending_qmin = true;
         ++st.res->faults.quarantines;
-        st.res->quarantined = true;
-        if (trace != nullptr) {
-          trace->push(obs::EventKind::kQuarantine, now, st.spec->id, -1,
-                      st.quarantined_until);
-        }
+        ev.quarantine(now, st.spec->id, st.quarantined_until);
         // Already-queued frames of the offender are dropped too.
         for (auto it = ready.begin(); it != ready.end();) {
           if (it->stream >= 0 &&
               &streams[static_cast<std::size_t>(it->stream)] == &st) {
-            st.records[it->frame] = st.session->drop(it->frame);
-            ++st.res->faults.quarantine_drops;
-            ++m_concealed;
-            ts_conceal(st, now);
-            if (trace != nullptr) {
-              trace->push(
-                  obs::EventKind::kConceal, now, st.spec->id, it->frame, 0,
-                  static_cast<std::uint32_t>(
-                      obs::ConcealReason::kQuarantineDrop));
-            }
+            conceal(st, it->frame, obs::ConcealReason::kQuarantineDrop);
             --st.queued;
             it = ready.erase(it);
           } else {
             ++it;
           }
         }
-        if (trace != nullptr) {
-          trace->push(obs::EventKind::kQueueDepth, now, -1, -1,
-                      static_cast<std::int64_t>(ready.size()));
-        }
+        ev.queue_depth(now, ready.size());
         break;
       }
     }
   };
 
+  /// Finishes the running frame's service on this processor.  A tail
+  /// relay's record is final (the head decoded it); a session frame is
+  /// delivered, or concealed when the policer cut it or loss injection
+  /// dropped it.  A delivered C=D head frame crosses to its tail piece,
+  /// which decides the display verdict: the head records phases and
+  /// its own share of busy time, not latency or a completion.
   auto complete = [&] {
-    StreamState& st =
-        streams[static_cast<std::size_t>(running->job.stream)];
-    if (st.relay) {
-      // Tail relay completion: the display-deadline verdict and the
-      // end-to-end latency are decided here, where the frame actually
-      // finishes; the encode itself was accounted at the head.
-      const pipe::FrameRecord& rec = running->rec;
-      if (now > running->job.deadline) {
-        ++st.res->display_misses;
-        ++m_display_misses;
-        ts_miss(st, now, now - running->job.deadline);
-        if (trace != nullptr) {
-          trace->push(obs::EventKind::kDeadlineMiss, now, st.spec->id,
-                      running->job.frame, now - running->job.deadline);
-        }
-      } else if (st.res->first_ontime < 0) {
-        st.res->first_ontime = now;
+    const ActiveJob& a = *running;
+    StreamState& st = streams[static_cast<std::size_t>(a.job.stream)];
+    const int f = a.job.frame;
+    pipe::FrameRecord rec = a.rec;
+    if (!st.relay) {
+      if (a.aborted) {
+        rec = st.session->lose(rec);
+        ++st.res->faults.aborted_frames;
+        punish_overrun(st);
+      } else if (inject_loss && a.faults.lost) {
+        rec.lost = true;
+        rec = st.session->lose(rec);
+        ++st.res->faults.lost_frames;
+      } else {
+        rec = st.session->deliver(rec);
       }
-      ++m_completed;
-      h_latency.record(now - running->job.arrival);
-      h_encode.record(rec.encode_cycles);
-      ts_complete(st, now, now - running->job.arrival, rec.encode_cycles);
-      ts_value(s_busy, now, running->tail_demand);
-      if (trace != nullptr) {
-        trace->push(obs::EventKind::kComplete, now, st.spec->id,
-                    running->job.frame, rec.encode_cycles,
-                    static_cast<std::uint32_t>(
-                        obs::CompleteOutcome::kDelivered));
-      }
-      out->busy_cycles += running->tail_demand;
-      ++out->frames_encoded;
-      span = now;
-      running.reset();
-      return;
-    }
-    pipe::FrameRecord rec = running->rec;
-    if (running->aborted) {
-      rec = st.session->lose(rec);
-      ++st.res->faults.aborted_frames;
-      punish_overrun(st);
-    } else if (inject_loss && running->faults.lost) {
-      rec.lost = true;
-      rec = st.session->lose(rec);
-      ++st.res->faults.lost_frames;
-    } else {
-      rec = st.session->deliver(rec);
+      st.records[f] = rec;
     }
     if (st.split_head > 0 && !rec.concealed) {
-      // C=D handoff: the head's service is done and the record is
-      // final; the tail piece finishes the remaining demand and does
-      // the display accounting.  The head charges only its own share
-      // of the service to this processor.
-      for (std::size_t ph = 0; ph < rec.phase_cycles.size(); ++ph) {
-        h_phase[ph]->record(rec.phase_cycles[ph]);
-        phase_total[ph] += static_cast<long long>(rec.phase_cycles[ph]);
-        ts_value(s_phase[ph], now,
-                 static_cast<long long>(rec.phase_cycles[ph]));
-      }
-      if (trace != nullptr) {
-        trace->push(obs::EventKind::kComplete, now, st.spec->id,
-                    running->job.frame, rec.encode_cycles,
-                    static_cast<std::uint32_t>(
-                        obs::CompleteOutcome::kDelivered));
-        for (std::size_t ph = 0; ph < phase_total.size(); ++ph) {
-          trace->push(obs::EventKind::kPhaseCycles, now, -1, -1,
-                      phase_total[ph], static_cast<std::uint32_t>(ph));
-        }
-      }
-      out->busy_cycles += rec.encode_cycles - running->tail_demand;
-      ts_value(s_busy, now, rec.encode_cycles - running->tail_demand);
-      st.records[running->job.frame] = rec;
+      ev.complete_head(now, st.spec->id, f, rec.encode_cycles);
+      ev.phases(now, rec.phase_cycles);
+      charge(rec.encode_cycles - a.tail_demand);
       st.handoff_out->push_back(HandoffEntry{
-          running->job.frame, running->job.arrival,
-          std::max(running->job.arrival + st.split_head, now),
-          running->job.arrival + st.latency, running->tail_demand, rec});
-      span = now;
-      running.reset();
-      return;
-    }
-    if (!rec.concealed) {
-      if (now > running->job.deadline) {
-        ++st.res->display_misses;
-        ++m_display_misses;
-        ts_miss(st, now, now - running->job.deadline);
-        if (trace != nullptr) {
-          trace->push(obs::EventKind::kDeadlineMiss, now, st.spec->id,
-                      running->job.frame, now - running->job.deadline);
-        }
-      } else if (st.res->first_ontime < 0) {
-        st.res->first_ontime = now;
-      }
+          f, a.job.arrival, std::max(a.job.arrival + st.split_head, now),
+          a.job.arrival + st.latency, a.tail_demand, rec});
     } else {
-      ++m_concealed;
-      ts_conceal(st, now);
-    }
-    ++m_completed;
-    h_latency.record(now - running->job.arrival);
-    h_encode.record(rec.encode_cycles);
-    ts_complete(st, now, now - running->job.arrival, rec.encode_cycles);
-    for (std::size_t ph = 0; ph < rec.phase_cycles.size(); ++ph) {
-      h_phase[ph]->record(rec.phase_cycles[ph]);
-      phase_total[ph] += static_cast<long long>(rec.phase_cycles[ph]);
-      ts_value(s_phase[ph], now,
-               static_cast<long long>(rec.phase_cycles[ph]));
-    }
-    if (trace != nullptr) {
-      const auto outcome = static_cast<std::uint32_t>(
-          running->aborted ? obs::CompleteOutcome::kAborted
-          : rec.concealed ? obs::CompleteOutcome::kLost
-                          : obs::CompleteOutcome::kDelivered);
-      trace->push(obs::EventKind::kComplete, now, st.spec->id,
-                  running->job.frame, rec.encode_cycles, outcome);
-      for (std::size_t ph = 0; ph < phase_total.size(); ++ph) {
-        trace->push(obs::EventKind::kPhaseCycles, now, -1, -1,
-                    phase_total[ph], static_cast<std::uint32_t>(ph));
+      if (!rec.concealed) {
+        if (now > a.job.deadline) {
+          ++st.res->display_misses;
+          ev.display_miss(now, st.spec->mode, st.spec->id, f,
+                          now - a.job.deadline);
+        } else if (st.res->first_ontime < 0) {
+          st.res->first_ontime = now;
+        }
       }
+      const obs::CompleteOutcome outcome =
+          a.aborted       ? obs::CompleteOutcome::kAborted
+          : rec.concealed ? obs::CompleteOutcome::kLost
+                          : obs::CompleteOutcome::kDelivered;
+      ev.complete(now, st.spec->mode, st.spec->id, f, now - a.job.arrival,
+                  rec.encode_cycles, outcome);
+      if (!st.relay) ev.phases(now, rec.phase_cycles);
+      // A relay serves the handed-off share; a concealed split-head
+      // frame's tail share was never served anywhere.
+      charge(st.relay ? a.tail_demand : rec.encode_cycles - a.tail_demand);
+      ++out->frames_encoded;
     }
-    // A concealed split-head frame's tail share was never served
-    // anywhere; only the locally-served cycles are busy time.
-    out->busy_cycles += rec.encode_cycles - running->tail_demand;
-    ts_value(s_busy, now, rec.encode_cycles - running->tail_demand);
-    ++out->frames_encoded;
-    st.records[running->job.frame] = rec;
     span = now;
     running.reset();
   };
@@ -716,53 +526,18 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
   /// preemption event).
   auto conceal_in_service = [&](const ActiveJob& a, bool was_running) {
     StreamState& st = streams[static_cast<std::size_t>(a.job.stream)];
-    if (st.relay) {
-      // Relay frame caught by an outage: the head's record stands but
-      // the viewer never sees the frame.  No session to run the
-      // concealment chain through — mark the loss in place.
-      st.records[a.job.frame].lost = true;
-      st.records[a.job.frame].concealed = true;
-      ++st.res->faults.failure_drops;
-      ++out->fault_conceals;
-      ++m_concealed;
-      ts_conceal(st, now);
-      if (trace != nullptr) {
-        trace->push(was_running ? obs::EventKind::kConcealService
-                                : obs::EventKind::kConceal,
-                    now, st.spec->id, a.job.frame,
-                    a.tail_demand - a.remaining,
-                    static_cast<std::uint32_t>(
-                        obs::ConcealReason::kSuspendedOutage));
-      }
-      out->busy_cycles += a.tail_demand - a.remaining;
-      ts_value(s_busy, now, a.tail_demand - a.remaining);
-      return;
+    rt::Cycles consumed = a.tail_demand - a.remaining;
+    if (!st.relay) {
+      // Cycles actually consumed on this processor (a split head never
+      // held its tail share).
+      pipe::FrameRecord rec = a.rec;
+      rec.encode_cycles -= a.remaining + a.tail_demand;
+      consumed = rec.encode_cycles;
+      st.records[a.job.frame] = st.session->lose(rec);
     }
-    pipe::FrameRecord rec = a.rec;
-    // Cycles actually consumed on this processor (a split head never
-    // held its tail share).
-    rec.encode_cycles -= a.remaining + a.tail_demand;
-    rec = st.session->lose(rec);
-    st.records[a.job.frame] = rec;
-    ++st.res->faults.failure_drops;
-    ++out->fault_conceals;
-    ++m_concealed;
-    ts_conceal(st, now);
-    if (trace != nullptr) {
-      if (was_running) {
-        trace->push(obs::EventKind::kConcealService, now, st.spec->id,
-                    a.job.frame, rec.encode_cycles,
-                    static_cast<std::uint32_t>(
-                        obs::ConcealReason::kSuspendedOutage));
-      } else {
-        trace->push(obs::EventKind::kConceal, now, st.spec->id, a.job.frame,
-                    rec.encode_cycles,
-                    static_cast<std::uint32_t>(
-                        obs::ConcealReason::kSuspendedOutage));
-      }
-    }
-    out->busy_cycles += rec.encode_cycles;
-    ts_value(s_busy, now, rec.encode_cycles);
+    conceal(st, a.job.frame, obs::ConcealReason::kSuspendedOutage, consumed,
+            was_running);
+    charge(consumed);
   };
 
   // The earliest instant the policy lets the top ready job displace
@@ -790,17 +565,12 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       for (StreamState& st : streams) {
         if (st.session != nullptr) st.session->reset_reference();
       }
-      if (trace != nullptr) {
-        trace->push(obs::EventKind::kProcRepair, now, -1, -1, 0);
-      }
+      ev.processor_repair(now);
     }
     while (next_window < windows.size() &&
            now >= windows[next_window].start) {
       const Window& w = windows[next_window++];
-      if (trace != nullptr) {
-        trace->push(obs::EventKind::kProcFail, now, -1, -1,
-                    w.permanent ? -1 : w.end, w.permanent ? 1u : 0u);
-      }
+      ev.processor_fail(now, w.permanent, w.end);
       // Everything in flight or queued is lost to the outage.
       if (running) {
         conceal_in_service(*running, true);
@@ -813,29 +583,11 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       suspended.clear();
       for (const FrameJob& job : ready) {
         StreamState& st = streams[static_cast<std::size_t>(job.stream)];
-        if (st.session != nullptr) {
-          st.records[job.frame] = st.session->drop(job.frame);
-        } else {
-          // Queued relay frame: the head's record stands, concealed.
-          st.records[job.frame].lost = true;
-          st.records[job.frame].concealed = true;
-        }
-        ++st.res->faults.failure_drops;
-        ++out->fault_conceals;
-        ++m_concealed;
-        ts_conceal(st, now);
-        if (trace != nullptr) {
-          trace->push(obs::EventKind::kConceal, now, st.spec->id, job.frame,
-                      0,
-                      static_cast<std::uint32_t>(
-                          obs::ConcealReason::kQueuedOutage));
-        }
+        conceal(st, job.frame, obs::ConcealReason::kQueuedOutage);
         --st.queued;
       }
       ready.clear();
-      if (trace != nullptr) {
-        trace->push(obs::EventKind::kQueueDepth, now, -1, -1, 0);
-      }
+      ev.queue_depth(now, 0);
       if (w.permanent) {
         halted = true;
       } else {
@@ -863,28 +615,12 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
           // sees the frame: mark it concealed in place (the encoder
           // reference lives with the head, which has already moved
           // on — a documented approximation of a mid-chain loss).
-          st.records[e.frame].lost = true;
-          st.records[e.frame].concealed = true;
-          ++st.res->faults.failure_drops;
-          ++out->fault_conceals;
-          ++m_concealed;
-          ts_conceal(st, now);
-          if (trace != nullptr) {
-            trace->push(obs::EventKind::kConceal, now, st.spec->id,
-                        e.frame, 0,
-                        static_cast<std::uint32_t>(
-                            obs::ConcealReason::kArrivalOutage));
-          }
+          conceal(st, e.frame, obs::ConcealReason::kArrivalOutage);
           continue;
         }
         ++st.queued;
         ready.insert(FrameJob{e.deadline, a.stream, e.frame, e.arrival});
-        h_qdepth.record(static_cast<long long>(ready.size()));
-        ts_value(s_queue, now, static_cast<long long>(ready.size()));
-        if (trace != nullptr) {
-          trace->push(obs::EventKind::kQueueDepth, now, -1, -1,
-                      static_cast<std::int64_t>(ready.size()));
-        }
+        ev.enqueue(now, ready.size());
         continue;
       }
       const int f = st.next_arrival++;
@@ -893,29 +629,12 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       }
       if (in_blackout(a.time)) {
         // The processor is down: nobody services this frame.
-        st.records[f] = st.session->drop(f);
-        ++st.res->faults.failure_drops;
-        ++out->fault_conceals;
-        ++m_concealed;
-        ts_conceal(st, now);
-        if (trace != nullptr) {
-          trace->push(obs::EventKind::kConceal, now, st.spec->id, f, 0,
-                      static_cast<std::uint32_t>(
-                          obs::ConcealReason::kArrivalOutage));
-        }
+        conceal(st, f, obs::ConcealReason::kArrivalOutage);
         continue;
       }
       if (st.quarantined_until >= 0) {
         if (a.time < st.quarantined_until) {
-          st.records[f] = st.session->drop(f);
-          ++st.res->faults.quarantine_drops;
-          ++m_concealed;
-          ts_conceal(st, now);
-          if (trace != nullptr) {
-            trace->push(obs::EventKind::kConceal, now, st.spec->id, f, 0,
-                        static_cast<std::uint32_t>(
-                            obs::ConcealReason::kQuarantineDrop));
-          }
+          conceal(st, f, obs::ConcealReason::kQuarantineDrop);
           continue;
         }
         // Quarantine over: re-admit at the qmin rung.
@@ -929,7 +648,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       if (st.queued >= st.spec->buffer_capacity) {
         // Input buffer full: the camera drops the frame.
         st.records[f] = st.session->skip(f);
-        ++m_camera_skips;
+        ev.camera_skip();
       } else {
         ++st.queued;
         // A C=D head piece runs under its zero-slack head deadline
@@ -939,12 +658,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
             st.split_head > 0 ? a.time + st.split_head
                               : a.time + st.latency;
         ready.insert(FrameJob{edf_deadline, a.stream, f, a.time});
-        h_qdepth.record(static_cast<long long>(ready.size()));
-        ts_value(s_queue, now, static_cast<long long>(ready.size()));
-        if (trace != nullptr) {
-          trace->push(obs::EventKind::kQueueDepth, now, -1, -1,
-                      static_cast<std::int64_t>(ready.size()));
-        }
+        ev.enqueue(now, ready.size());
       }
     }
 
@@ -958,15 +672,8 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       suspended.emplace(std::make_pair(a.job.stream, a.job.frame), a);
       ready.insert(a.job);
       ++out->preemptions;
-      ++m_preemptions;
-      if (trace != nullptr) {
-        trace->push(
-            obs::EventKind::kPreempt, now,
-            streams[static_cast<std::size_t>(a.job.stream)].spec->id,
-            a.job.frame, a.remaining);
-        trace->push(obs::EventKind::kQueueDepth, now, -1, -1,
-                    static_cast<std::int64_t>(ready.size()));
-      }
+      ev.preempt(now, streams[static_cast<std::size_t>(a.job.stream)].spec->id,
+                 a.job.frame, a.remaining, ready.size());
       out->overhead_cycles += ctx;
       now += ctx;
       continue;
@@ -1022,31 +729,6 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   result.fault_spec = scenario.faults;
   result.farm_seed = config.seed;
 
-  // Observability sinks.  The recorder exists only when tracing is
-  // requested; its control buffer serves the sequential control plane
-  // and each data-plane processor owns buffer p — merged in index
-  // order, the trace is independent of the worker count.
-  std::optional<obs::TraceRecorder> recorder;
-  if (config.trace) {
-    QC_EXPECT(config.trace_buffer_capacity > 0,
-              "trace buffer capacity must be positive");
-    recorder.emplace(config.num_processors,
-                     static_cast<std::size_t>(config.trace_buffer_capacity));
-  }
-  obs::TraceBuffer* ctrace =
-      recorder.has_value() ? recorder->control() : nullptr;
-  // Windowed time series mirror the trace's ownership split: one
-  // single-writer recorder per virtual processor plus one for the
-  // sequential control plane, merged in index order afterwards.
-  std::vector<obs::SeriesRecorder> series_rec;
-  if (config.ts_window > 0) {
-    series_rec.reserve(static_cast<std::size_t>(config.num_processors) + 1);
-    for (int p = 0; p <= config.num_processors; ++p) {
-      series_rec.emplace_back(config.ts_window);
-    }
-  }
-  obs::SeriesRecorder* cseries =
-      series_rec.empty() ? nullptr : &series_rec.back();
   result.streams.reserve(scenario.streams.size());
   for (const StreamSpec& spec : scenario.streams) {
     StreamOutcome so;
@@ -1086,29 +768,12 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   ShardedControlPlane plane(config.num_processors, shard_cfg,
                             config.admission, &tables, scenario.sched);
 
-  // Control-plane series: fleet admission/rebalance rates, plus one
-  // `/shard<k>` variant per shard when the plane is actually sharded.
-  obs::SeriesTrack* cs_admitted = nullptr;
-  obs::SeriesTrack* cs_rejected = nullptr;
-  obs::SeriesTrack* cs_rebalance = nullptr;
-  std::vector<obs::SeriesTrack*> cs_admitted_shard;
-  std::vector<obs::SeriesTrack*> cs_rebalance_shard;
-  if (cseries != nullptr) {
-    cs_admitted = &cseries->track("admitted");
-    cs_rejected = &cseries->track("rejected");
-    cs_rebalance = &cseries->track("rebalance");
-    if (plane.num_shards() > 1) {
-      for (int s = 0; s < plane.num_shards(); ++s) {
-        cs_admitted_shard.push_back(
-            &cseries->track("admitted/shard" + std::to_string(s)));
-        cs_rebalance_shard.push_back(
-            &cseries->track("rebalance/shard" + std::to_string(s)));
-      }
-    }
-  }
-  auto cs_record = [&](obs::SeriesTrack* t, rt::Cycles at, long long v) {
-    if (t != nullptr) cseries->record(*t, at, v);
-  };
+  // Observability: one event sink per virtual processor plus the
+  // sequential control plane's, each feeding its own registry, trace
+  // ring and series recorder — merged in index order afterwards, so
+  // every output is independent of the worker count.
+  FarmSinks sinks(config, plane.num_shards());
+  EventSink& control = sinks.control();
 
   using Leave = std::pair<rt::Cycles, int>;  // (leave time, stream id)
   std::priority_queue<Leave, std::vector<Leave>, std::greater<Leave>> leaves;
@@ -1134,19 +799,12 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   auto apply_renegotiations = [&] {
     for (BudgetRenegotiation& r : plane.take_renegotiations()) {
       StreamOutcome* victim = by_id.at(r.stream_id);
-      if (ctrace != nullptr) {
-        ctrace->push(r.grow ? obs::EventKind::kRestore
-                            : obs::EventKind::kRenegotiate,
-                     r.effective_time, r.stream_id, -1, r.table_budget);
-      }
-      if (r.grow) {
-        if (!victim->restored) {
-          victim->restored = true;
-          ++result.restored_streams;
-        }
-      } else if (!victim->renegotiated) {
-        victim->renegotiated = true;
-        ++result.renegotiated_streams;
+      bool& marked = r.grow ? victim->restored : victim->renegotiated;
+      control.renegotiate(r.effective_time, r.stream_id, r.table_budget,
+                          r.grow, !marked);
+      if (!marked) {
+        marked = true;
+        ++(r.grow ? result.restored_streams : result.renegotiated_streams);
       }
       std::vector<BudgetEpoch>& epochs = victim->failover.empty()
                                              ? victim->epochs
@@ -1206,26 +864,15 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
         // halted processor, which conceals every one of them.
         ++fo.dropped;
         ++result.failover_drops;
-        if (ctrace != nullptr) {
-          ctrace->push(obs::EventKind::kFailoverDrop, ev.time, id, -1,
-                       ev.processor);
-        }
+        control.failover_drop(ev.time, id, ev.processor);
         continue;
       }
       ++fo.readmitted;
       ++result.failover_readmissions;
-      if (ctrace != nullptr) {
-        ctrace->push(obs::EventKind::kFailover, ev.time, id, -1,
-                     pl.processor);
-      }
-      FailoverSegment seg;
-      seg.failure_index = static_cast<int>(k);
-      seg.from_time = ev.time;
-      seg.first_frame = ff;
-      seg.placement = pl;
-      seg.epochs.push_back(BudgetEpoch{resume.join_time, pl.table_budget,
-                                       pl.committed_cost, pl.system});
-      so->failover.push_back(std::move(seg));
+      control.failover(ev.time, id, pl.processor);
+      so->failover.push_back(FailoverSegment{
+          static_cast<int>(k), ev.time, ff, pl,
+          {opening_epoch(resume.join_time, pl)}});
       note_peak(pl.processor);
       // The stream keeps its original leave time (same last frame), so
       // the leave entry already queued releases the new commitment.
@@ -1268,31 +915,17 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
       ++moved;
       ++result.rebalance_migrations;
       StreamOutcome* so = by_id.at(mg.stream_id);
-      FailoverSegment seg;
-      seg.failure_index = -1;
-      seg.from_time = now;
       // mg.from_time is the first arrival the new placement serves;
       // against the stream's original join it names the absolute frame
       // index even after repeated migrations.
-      seg.first_frame = static_cast<int>((mg.from_time - so->spec.join_time) /
-                                         period_of(so->spec));
-      seg.placement = mg.placement;
-      seg.epochs.push_back(BudgetEpoch{mg.from_time,
-                                       mg.placement.table_budget,
-                                       mg.placement.committed_cost,
-                                       mg.placement.system});
-      so->failover.push_back(std::move(seg));
+      const int first = static_cast<int>(
+          (mg.from_time - so->spec.join_time) / period_of(so->spec));
+      so->failover.push_back(FailoverSegment{
+          -1, now, first, mg.placement,
+          {opening_epoch(mg.from_time, mg.placement)}});
       note_peak(mg.placement.processor);
-      cs_record(cs_rebalance, now, 1);
-      if (!cs_rebalance_shard.empty()) {
-        cs_record(cs_rebalance_shard[static_cast<std::size_t>(mg.to_shard)],
-                  now, 1);
-      }
-      if (ctrace != nullptr) {
-        ctrace->push(obs::EventKind::kRebalance, now, mg.stream_id, -1,
-                     mg.placement.processor,
-                     static_cast<std::uint32_t>(mg.to_shard));
-      }
+      control.rebalance(now, mg.stream_id, mg.placement.processor,
+                        mg.to_shard);
       apply_renegotiations();
     }
   };
@@ -1318,36 +951,14 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
       so->placement = plane.admit(so->spec);
       apply_renegotiations();
       if (so->placement.admitted) {
-        so->epochs.insert(
-            so->epochs.begin(),
-            BudgetEpoch{so->spec.join_time, so->placement.table_budget,
-                        so->placement.committed_cost, so->placement.system});
+        so->epochs.insert(so->epochs.begin(),
+                          opening_epoch(so->spec.join_time, so->placement));
         leaves.emplace(leave_time_of(so->spec), so->spec.id);
         note_peak(so->placement.processor);
-        cs_record(cs_admitted, so->spec.join_time, 1);
-        if (!cs_admitted_shard.empty()) {
-          cs_record(cs_admitted_shard[static_cast<std::size_t>(
-                        plane.shard_of(so->placement.processor))],
-                    so->spec.join_time, 1);
-        }
-        if (ctrace != nullptr) {
-          const std::uint32_t flags =
-              (so->placement.migrated ? 1u : 0u) |
-              (so->placement.degraded ? 2u : 0u) |
-              (so->placement.via_renegotiation ? 4u : 0u);
-          ctrace->push(obs::EventKind::kAdmit, so->spec.join_time,
-                       so->spec.id, -1, so->placement.processor, flags);
-          if (so->placement.migrated) {
-            ctrace->push(obs::EventKind::kMigrate, so->spec.join_time,
-                         so->spec.id, -1, so->placement.processor);
-          }
-        }
+        control.admit(so->spec.join_time, so->spec.id, so->placement,
+                      plane.shard_of(so->placement.processor));
       } else {
-        cs_record(cs_rejected, so->spec.join_time, 1);
-        if (ctrace != nullptr) {
-          ctrace->push(obs::EventKind::kReject, so->spec.join_time,
-                       so->spec.id, -1, -1);
-        }
+        control.reject(so->spec.join_time, so->spec.id);
       }
     }
     const rt::Cycles batch_end = join_order[e - 1]->spec.join_time;
@@ -1355,10 +966,7 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
       ++result.join_batches;
       result.max_join_batch =
           std::max(result.max_join_batch, static_cast<int>(e - b));
-      if (ctrace != nullptr) {
-        ctrace->push(obs::EventKind::kJoinBatch, batch_end, -1, -1,
-                     static_cast<std::int64_t>(e - b));
-      }
+      control.join_batch(batch_end, static_cast<int>(e - b));
     }
     run_rebalancer(batch_end);
     b = e;
@@ -1418,6 +1026,8 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
       result.streams.size());
   std::vector<std::vector<Assignment>> per_processor(
       static_cast<std::size_t>(config.num_processors));
+  // C=D handoff sources feeding each tail processor.
+  std::vector<std::vector<int>> feeders(per_processor.size());
   for (StreamOutcome* so : join_order) {
     if (!so->placement.admitted) continue;
     const std::size_t i =
@@ -1454,6 +1064,8 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
         tail.handoff_in = &handoffs[i][static_cast<std::size_t>(seg)];
         per_processor[static_cast<std::size_t>(pl.tail_processor)]
             .push_back(tail);
+        feeders[static_cast<std::size_t>(pl.tail_processor)].push_back(
+            pl.processor);
       } else {
         per_processor[static_cast<std::size_t>(pl.processor)].push_back(
             asg);
@@ -1467,11 +1079,6 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   }
 
   const int workers = std::clamp(config.workers, 1, config.num_processors);
-  // Per-processor metric registries: each worker writes only its
-  // processor's, so no locking; merged in index order afterwards, the
-  // totals are worker-count independent.
-  std::vector<obs::Registry> proc_metrics(
-      static_cast<std::size_t>(config.num_processors));
 
   // C=D handoff dependencies: a tail processor may only run once every
   // head processor feeding it has finished (the relay reads the head's
@@ -1479,40 +1086,14 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   // (admission guarantees it), so one ascending pass computes final
   // levels; without splits every processor sits at level 0 and the
   // pool degenerates to the old single fully-parallel drain.
-  std::vector<int> level(static_cast<std::size_t>(config.num_processors),
-                         0);
-  {
-    std::vector<std::vector<int>> feeders(
-        static_cast<std::size_t>(config.num_processors));
-    auto note_split = [&](const Placement& pl) {
-      if (pl.split) {
-        feeders[static_cast<std::size_t>(pl.tail_processor)].push_back(
-            pl.processor);
-      }
-    };
-    for (const StreamOutcome& so : result.streams) {
-      if (!so.placement.admitted) continue;
-      note_split(so.placement);
-      for (const FailoverSegment& seg : so.failover) {
-        note_split(seg.placement);
-      }
+  std::vector<std::size_t> level(feeders.size(), 0);
+  std::vector<std::vector<int>> by_level;
+  for (std::size_t p = 0; p < feeders.size(); ++p) {
+    for (const int a : feeders[p]) {
+      level[p] = std::max(level[p], level[static_cast<std::size_t>(a)] + 1);
     }
-    for (int p = 0; p < config.num_processors; ++p) {
-      for (const int a : feeders[static_cast<std::size_t>(p)]) {
-        level[static_cast<std::size_t>(p)] =
-            std::max(level[static_cast<std::size_t>(p)],
-                     level[static_cast<std::size_t>(a)] + 1);
-      }
-    }
-  }
-  std::vector<std::vector<int>> by_level(
-      static_cast<std::size_t>(
-          *std::max_element(level.begin(), level.end())) +
-      1);
-  for (int p = 0; p < config.num_processors; ++p) {
-    by_level[static_cast<std::size_t>(
-                 level[static_cast<std::size_t>(p)])]
-        .push_back(p);
+    if (level[p] >= by_level.size()) by_level.resize(level[p] + 1);
+    by_level[level[p]].push_back(static_cast<int>(p));
   }
   for (const std::vector<int>& procs : by_level) {
     std::atomic<std::size_t> next_slot{0};
@@ -1524,12 +1105,7 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
                       windows[static_cast<std::size_t>(p)],
                       per_processor[static_cast<std::size_t>(p)],
                       &result.processors[static_cast<std::size_t>(p)],
-                      &proc_metrics[static_cast<std::size_t>(p)],
-                      recorder.has_value() ? recorder->processor(p)
-                                           : nullptr,
-                      series_rec.empty()
-                          ? nullptr
-                          : &series_rec[static_cast<std::size_t>(p)]);
+                      sinks.processor(p));
       }
     };
     const int nthreads =
@@ -1548,17 +1124,10 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
     std::vector<rt::Cycles> lags;
     for (const SegmentResult& sr : seg_results[i]) {
       so.display_misses += sr.display_misses;
-      so.faults.overruns_injected += sr.faults.overruns_injected;
-      so.faults.overruns_policed += sr.faults.overruns_policed;
-      so.faults.aborted_frames += sr.faults.aborted_frames;
-      so.faults.forced_downgrades += sr.faults.forced_downgrades;
-      so.faults.quarantines += sr.faults.quarantines;
-      so.faults.quarantine_drops += sr.faults.quarantine_drops;
-      so.faults.lost_frames += sr.faults.lost_frames;
-      so.faults.failure_drops += sr.faults.failure_drops;
-      so.quarantined = so.quarantined || sr.quarantined;
+      so.faults += sr.faults;
       lags.insert(lags.end(), sr.lags.begin(), sr.lags.end());
     }
+    so.quarantined = so.faults.quarantines > 0;
     if (!lags.empty()) {
       double lag_sum = 0.0;
       for (rt::Cycles lag : lags) {
@@ -1624,14 +1193,7 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
     result.total_concealed += so.result.total_concealed;
     result.total_display_misses += so.display_misses;
     result.total_internal_misses += so.internal_misses;
-    result.faults_total.overruns_injected += so.faults.overruns_injected;
-    result.faults_total.overruns_policed += so.faults.overruns_policed;
-    result.faults_total.aborted_frames += so.faults.aborted_frames;
-    result.faults_total.forced_downgrades += so.faults.forced_downgrades;
-    result.faults_total.quarantines += so.faults.quarantines;
-    result.faults_total.quarantine_drops += so.faults.quarantine_drops;
-    result.faults_total.lost_frames += so.faults.lost_frames;
-    result.faults_total.failure_drops += so.faults.failure_drops;
+    result.faults_total += so.faults;
     if (so.quarantined) ++result.quarantined_streams;
     for (const pipe::FrameRecord& fr : so.result.frames) {
       psnr_sum += fr.psnr;
@@ -1646,45 +1208,15 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
       ++result.quality_histogram[bucket];
     }
   }
-  result.rejection_rate =
-      result.total_streams > 0
-          ? static_cast<double>(result.rejected) /
-                static_cast<double>(result.total_streams)
-          : 0.0;
-  result.fleet_mean_psnr =
-      result.total_frames > 0
-          ? psnr_sum / static_cast<double>(result.total_frames)
-          : 0.0;
-  result.fleet_mean_ssim =
-      result.total_frames > 0
-          ? ssim_sum / static_cast<double>(result.total_frames)
-          : 0.0;
-  result.fleet_mean_quality =
-      result.encoded_frames > 0
-          ? quality_sum / static_cast<double>(result.encoded_frames)
-          : 0.0;
+  auto mean = [](double sum, long long n) {
+    return n > 0 ? sum / static_cast<double>(n) : 0.0;
+  };
+  result.rejection_rate = mean(result.rejected, result.total_streams);
+  result.fleet_mean_psnr = mean(psnr_sum, result.total_frames);
+  result.fleet_mean_ssim = mean(ssim_sum, result.total_frames);
+  result.fleet_mean_quality = mean(quality_sum, result.encoded_frames);
 
-  // ----- Observability finalization: merge the per-processor metric
-  // registries in index order, then the control plane's — the result
-  // is a pure function of (scenario, config).
-  for (const obs::Registry& r : proc_metrics) result.metrics.merge(r);
-  obs::Registry control;
-  control.counter("admission_accepted") = result.admitted;
-  control.counter("admission_rejected") = result.rejected;
-  control.counter("admission_migrations") = result.migrated;
-  control.counter("admission_renegotiations") = result.renegotiated_streams;
-  control.counter("admission_restores") = result.restored_streams;
-  control.counter("failover_readmissions") = result.failover_readmissions;
-  control.counter("failover_drops") = result.failover_drops;
-  const sched::EdfScanStats scan = plane.scan_stats();
-  control.counter("admission_demand_tests") = scan.demand_tests;
-  control.counter("admission_busy_iterations") = scan.busy_iterations;
-  control.counter("admission_check_points") = scan.check_points;
-  control.counter("admission_qpa_points") = scan.qpa_points;
-  control.counter("admission_splits") = plane.split_count();
-  control.counter("join_batches") = result.join_batches;
-  control.counter("rebalance_migrations") = result.rebalance_migrations;
-  result.metrics.merge(control);
+  control.admission_effort(plane.scan_stats(), plane.split_count());
 
   // ----- Per-shard outcomes (the report layers render them only when
   // the plane is actually sharded, keeping single-shard output stable).
@@ -1704,64 +1236,7 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
     o.peak_committed_utilization =
         shard_peaks[static_cast<std::size_t>(s)];
   }
-  // ----- Windowed series merge: processors in index order, control
-  // plane last.  Each processor's busy_cycles track is additionally
-  // kept under busy_cycles/cpu<p> — the per-processor utilization
-  // heatmap — while the plain track aggregates the fleet.
-  if (!series_rec.empty()) {
-    for (int p = 0; p < config.num_processors; ++p) {
-      const obs::SeriesRecorder& r =
-          series_rec[static_cast<std::size_t>(p)];
-      result.series.merge(r);
-      const auto it = r.tracks().find("busy_cycles");
-      if (it != r.tracks().end() && !it->second.empty()) {
-        result.series.tracks["busy_cycles/cpu" + std::to_string(p)] =
-            it->second;
-      }
-    }
-    result.series.merge(*cseries);
-  }
-
-  // ----- SLO verdicts over the merged series plus the per-failure
-  // recovery latencies.  Burn-rate alerts are echoed onto the trace's
-  // control-plane row (before the merge below, so they sort in).
-  if (!config.slos.empty()) {
-    obs::SloInputs slo_inputs;
-    slo_inputs.series = &result.series;
-    for (const StreamOutcome& so : result.streams) {
-      slo_inputs.reference_window =
-          std::max(slo_inputs.reference_window, latency_of(so.spec));
-    }
-    for (const FailureOutcome& fo : result.failures) {
-      if (fo.readmitted + fo.dropped == 0) continue;
-      const bool recovered =
-          fo.dropped == 0 && fo.recovered >= fo.readmitted;
-      slo_inputs.recovery_latencies.push_back(recovered ? fo.full_recovery
-                                                        : -1);
-    }
-    result.slo = obs::evaluate_slos(config.slos, slo_inputs);
-    if (ctrace != nullptr && config.ts_window > 0) {
-      for (std::size_t i = 0; i < result.slo.objectives.size(); ++i) {
-        for (const obs::SloAlert& al : result.slo.objectives[i].alerts) {
-          ctrace->push(obs::EventKind::kSloAlert,
-                       (al.window + 1) * config.ts_window, -1, -1,
-                       al.window, static_cast<std::uint32_t>(i));
-        }
-      }
-    }
-  }
-
-  if (recorder.has_value()) {
-    result.trace = recorder->merged();
-    result.trace_dropped = recorder->dropped();
-    result.trace_dropped_per_buffer.reserve(
-        static_cast<std::size_t>(config.num_processors) + 1);
-    for (int p = 0; p <= config.num_processors; ++p) {
-      result.trace_dropped_per_buffer.push_back(
-          recorder->processor(p)->dropped());
-    }
-  }
-  result.metrics.counter("trace_dropped") = result.trace_dropped;
+  sinks.finish(config, &result);
   return result;
 }
 

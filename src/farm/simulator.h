@@ -126,6 +126,18 @@ struct StreamFaultStats {
   int quarantine_drops = 0;   ///< frames dropped while quarantined
   int lost_frames = 0;        ///< post-encode losses (loss injection)
   int failure_drops = 0;      ///< frames lost to a processor blackout
+
+  StreamFaultStats& operator+=(const StreamFaultStats& o) {
+    overruns_injected += o.overruns_injected;
+    overruns_policed += o.overruns_policed;
+    aborted_frames += o.aborted_frames;
+    forced_downgrades += o.forced_downgrades;
+    quarantines += o.quarantines;
+    quarantine_drops += o.quarantine_drops;
+    lost_frames += o.lost_frames;
+    failure_drops += o.failure_drops;
+    return *this;
+  }
 };
 
 /// One re-admission of a stream displaced mid-life: by a permanent

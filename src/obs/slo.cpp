@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <iomanip>
@@ -99,12 +100,12 @@ bool parse_threshold(const std::string& s, double* value, bool* in_windows) {
 /// The track an objective reads under its scope: the bare fleet track,
 /// or the `@class` variant the data plane records next to it.
 std::string scoped_track(const char* base, SloScope scope) {
-  std::string name(base);
-  if (scope != SloScope::kFleet) {
-    name += '@';
-    name += slo_scope_name(scope);
-  }
-  return name;
+  static_assert(static_cast<int>(SloScope::kFeedback) ==
+                    static_cast<int>(tracks::kClassSuffix.size()),
+                "one SLO scope per stream class, after kFleet");
+  return scope == SloScope::kFleet
+             ? std::string(base)
+             : tracks::of_class(base, static_cast<std::size_t>(scope) - 1);
 }
 
 const SeriesTrack* find_track(const TimeSeries& series,
@@ -167,22 +168,22 @@ void evaluate_windowed(const SloSpec& spec, const SloInputs& in,
     case SloMetric::kLatencyP95:
     case SloMetric::kLatencyP99:
       primary = find_track(series,
-                           scoped_track("frame_latency_cycles", spec.scope));
+                           scoped_track(tracks::kFrameLatency, spec.scope));
       break;
     case SloMetric::kQueueP99:
-      primary = find_track(series, "queue_depth");
+      primary = find_track(series, tracks::kQueueDepth);
       break;
     case SloMetric::kMissRate:
       primary =
-          find_track(series, scoped_track("display_misses", spec.scope));
-      denom =
-          find_track(series, scoped_track("frames_completed", spec.scope));
+          find_track(series, scoped_track(tracks::kDisplayMisses, spec.scope));
+      denom = find_track(series,
+                         scoped_track(tracks::kFramesCompleted, spec.scope));
       break;
     case SloMetric::kConcealRate:
-      primary =
-          find_track(series, scoped_track("frames_concealed", spec.scope));
-      denom =
-          find_track(series, scoped_track("frames_completed", spec.scope));
+      primary = find_track(series,
+                           scoped_track(tracks::kFramesConcealed, spec.scope));
+      denom = find_track(series,
+                         scoped_track(tracks::kFramesCompleted, spec.scope));
       break;
     case SloMetric::kRecoveryLatency:
       return;  // not windowed; handled by the caller
@@ -285,8 +286,20 @@ std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
   }
   return out;
 }

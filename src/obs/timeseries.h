@@ -18,6 +18,7 @@
 // branch on a null pointer and nothing else.
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
 
@@ -25,6 +26,39 @@
 #include "rt/types.h"
 
 namespace qosctrl::obs {
+
+/// Track names, defined once: the farm's event sink records them and
+/// the SLO engine and the dashboard read them.  The data-plane names
+/// double as the metrics registry's counter and histogram names.
+namespace tracks {
+inline constexpr const char* kFrameLatency = "frame_latency_cycles";
+inline constexpr const char* kQueueDepth = "queue_depth";
+inline constexpr const char* kEncodeCycles = "encode_cycles";
+inline constexpr const char* kBusyCycles = "busy_cycles";
+inline constexpr const char* kFramesCompleted = "frames_completed";
+inline constexpr const char* kDisplayMisses = "display_misses";
+inline constexpr const char* kFramesConcealed = "frames_concealed";
+inline constexpr const char* kAdmitted = "admitted";
+inline constexpr const char* kRejected = "rejected";
+inline constexpr const char* kRebalance = "rebalance";
+/// Suffixes of the per-stream-class variants, in pipe::ControlMode
+/// order (the SLO scopes :controlled, :constant, :feedback).
+inline constexpr std::array<const char*, 3> kClassSuffix = {
+    "@controlled", "@constant", "@feedback"};
+
+/// `base` + the class suffix of stream class `cls`.
+inline std::string of_class(const char* base, std::size_t cls) {
+  return std::string(base) + kClassSuffix[cls];
+}
+/// `base` + "/shard<k>": a per-shard control track.
+inline std::string of_shard(const char* base, int shard) {
+  return std::string(base) + "/shard" + std::to_string(shard);
+}
+/// `base` + "/cpu<p>": a per-processor copy of a data-plane track.
+inline std::string of_cpu(const char* base, int processor) {
+  return std::string(base) + "/cpu" + std::to_string(processor);
+}
+}  // namespace tracks
 
 /// One metric over fixed windows: sparse map from window index to the
 /// window's histogram.  Windows nothing was recorded into do not exist.

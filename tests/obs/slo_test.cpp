@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/timeseries.h"
+#include "util/json.h"
 
 namespace qosctrl::obs {
 namespace {
@@ -265,6 +266,29 @@ TEST(SloReportTest, JsonAndSummaryShapeIsPinned) {
             "slo recovery_latency<200: points=1 violations=0 "
             "worst_window=0 worst_value=100 budget_remaining=1 "
             "alerts=0 MET\n");
+}
+
+TEST(SloReportTest, ControlCharactersInSpecsStayValidJson) {
+  // strtod skips leading whitespace, so a tab after the operator still
+  // parses; the report must carry the spec verbatim as valid JSON.
+  const SloSpec tabbed = parse_ok("queue_p99<\t16");
+  SloReport report;
+  report.objectives.push_back(SloOutcome{});
+  report.objectives.back().spec = tabbed;
+  report.objectives.push_back(SloOutcome{});
+  report.objectives.back().spec.text = "a\nb\x01c\"d\\e\x1f";
+
+  util::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(util::parse_json(slo_to_json(report), &doc, &error)) << error;
+  const util::JsonValue* objectives =
+      doc.find("objectives", util::JsonKind::kArray);
+  ASSERT_NE(objectives, nullptr);
+  ASSERT_EQ(objectives->items().size(), 2u);
+  EXPECT_EQ(objectives->items()[0].find("spec")->as_string(),
+            "queue_p99<\t16");
+  EXPECT_EQ(objectives->items()[1].find("spec")->as_string(),
+            "a\nb\x01c\"d\\e\x1f");
 }
 
 }  // namespace
