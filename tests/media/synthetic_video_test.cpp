@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "media/motion.h"
 
 namespace qosctrl::media {
@@ -120,6 +125,87 @@ TEST(SyntheticVideo, PixelsSpanAUsefulRange) {
   }
   EXPECT_LT(lo, 100);
   EXPECT_GT(hi, 150);
+}
+
+std::uint64_t fnv1a(const std::vector<Sample>& bytes, std::uint64_t h) {
+  for (const Sample b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// One pinned rendering: a geometry, seed, scene count and noise level,
+/// and the FNV-1a digests of the Y, Cb and Cr bytes of every sampled
+/// frame (first, second, middle and last frame of each scene) chained
+/// in frame order.
+struct YuvPin {
+  int width, height, num_frames, num_scenes;
+  std::uint64_t seed;
+  double noise;
+  std::uint64_t y, cb, cr;
+};
+
+// Objects have radius 8..24, so at 16x16 and 32x16 every object
+// straddles the border, and the late frames of each scene carry objects
+// that have drifted partly or fully out of the picture.  Noise 0 and 40
+// move the clamp.  The digests were recorded from the direct per-pixel
+// evaluation and depend on libm's sin/cos; re-derive them only for an
+// intended change of the picture, never for a rewrite of the renderer.
+constexpr YuvPin kYuvPins[] = {
+    {176, 144, 582, 9, 2005, 3.0,
+     0xd87d2f2a82d45af8ULL, 0x868ed10b8b70099aULL, 0x00d647fe0667e13eULL},
+    {176, 144, 120, 12, 11, 3.0,
+     0xfe78ae9d5c70df3cULL, 0x180cdaa0d2215380ULL, 0xef13eb9b4eb2dd4bULL},
+    {16, 16, 30, 3, 1, 3.0,
+     0x384ba16c5d07d411ULL, 0xba54ffeb730b1e22ULL, 0x6fd944f56880932dULL},
+    {32, 16, 12, 1, 7, 3.0,
+     0xf370baa9537661fbULL, 0x87a961072c370789ULL, 0x6c0abd8bfc782905ULL},
+    {48, 32, 40, 5, 42, 3.0,
+     0x1d339a0c764514b7ULL, 0x54d304b30cc5c98bULL, 0x3faa3110f52a8fd5ULL},
+    {352, 288, 20, 2, 3, 3.0,
+     0x1cf9e4002b17a323ULL, 0xce1f3287efab7d92ULL, 0x5561bb0ded307327ULL},
+    {64, 48, 60, 4, 99, 0.0,
+     0x274eb3da841379a0ULL, 0x4af1260a98a8f041ULL, 0xbb2e834c3143e164ULL},
+    {64, 48, 60, 4, 5, 40.0,
+     0x4e1e3bc7a6b71bb1ULL, 0xbb7c219e1f6bb0c1ULL, 0x7de5e6188226ec6fULL},
+};
+
+TEST(SyntheticVideo, YuvBytesArePinned) {
+  for (const YuvPin& pin : kYuvPins) {
+    VideoConfig c;
+    c.width = pin.width;
+    c.height = pin.height;
+    c.num_frames = pin.num_frames;
+    c.num_scenes = pin.num_scenes;
+    c.seed = pin.seed;
+    c.noise_amplitude = pin.noise;
+    const SyntheticVideo v(c);
+    const std::vector<int> starts = v.scene_starts();
+    std::uint64_t y = 0xcbf29ce484222325ULL, cb = y, cr = y;
+    for (std::size_t s = 0; s < starts.size(); ++s) {
+      const int first = starts[s];
+      const int last = s + 1 < starts.size() ? starts[s + 1] - 1
+                                             : pin.num_frames - 1;
+      std::vector<int> sampled{first, first + 1, (first + last) / 2, last};
+      sampled.erase(std::unique(sampled.begin(), sampled.end()),
+                    sampled.end());
+      for (const int f : sampled) {
+        if (f > last) continue;
+        const YuvFrame yuv = v.frame_yuv(f);
+        ASSERT_EQ(v.frame(f).data(), yuv.y.data()) << "frame " << f;
+        y = fnv1a(yuv.y.data(), y);
+        cb = fnv1a(yuv.cb.data(), cb);
+        cr = fnv1a(yuv.cr.data(), cr);
+      }
+    }
+    const std::string where = std::to_string(pin.width) + "x" +
+                              std::to_string(pin.height) + " seed " +
+                              std::to_string(pin.seed);
+    EXPECT_EQ(y, pin.y) << where << " Y";
+    EXPECT_EQ(cb, pin.cb) << where << " Cb";
+    EXPECT_EQ(cr, pin.cr) << where << " Cr";
+  }
 }
 
 TEST(SyntheticVideoDeath, RejectsBadConfig) {
