@@ -362,11 +362,25 @@ void BM_SyntheticFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticFrame);
 
+// The full 4:2:0 source frame: what StreamSession::encode synthesizes
+// for every encoded frame (luma plus both chroma planes).
+void BM_SyntheticFrameYuv(benchmark::State& state) {
+  const media::SyntheticVideo video{media::VideoConfig{}};
+  int f = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(video.frame_yuv(f));
+    f = (f + 1) % video.num_frames();
+  }
+}
+BENCHMARK(BM_SyntheticFrameYuv);
+
 // Whole-farm throughput: a generated multi-stream scenario under
 // admission control, end to end (control plane, per-processor run
 // queues, real pixel encoding).  items_per_second reports simulated
 // stream-frames per wall-second — the farm metric tracked in
-// BENCH_micro.json; Arg is the worker-thread count.
+// BENCH_micro.json; Arg is the worker-thread count.  The farm rows run
+// UseRealTime(): with workers > 1 the work is spread over threads, and
+// the main thread's CPU time alone would undercount it.
 void run_farm_throughput(benchmark::State& state, sched::PolicyKind policy,
                          bool faults = false, bool trace = false,
                          bool timeseries = false) {
@@ -417,7 +431,8 @@ BENCHMARK(BM_FarmThroughput)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The preemptive scheduling classes pay per-switch accounting in the
 // data plane; these variants keep that overhead pinned alongside the
@@ -428,7 +443,8 @@ void BM_FarmThroughputPreemptive(benchmark::State& state) {
 BENCHMARK(BM_FarmThroughputPreemptive)
     ->Arg(1)
     ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_FarmThroughputQuantum(benchmark::State& state) {
   run_farm_throughput(state, sched::PolicyKind::kQuantumEdf);
@@ -436,7 +452,8 @@ void BM_FarmThroughputQuantum(benchmark::State& state) {
 BENCHMARK(BM_FarmThroughputQuantum)
     ->Arg(1)
     ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Same farm under fault injection (WCET overruns policed + frame loss
 // routed through decoder-side concealment): keeps the policer and the
@@ -448,7 +465,8 @@ void BM_FarmThroughputFaults(benchmark::State& state) {
 BENCHMARK(BM_FarmThroughputFaults)
     ->Arg(1)
     ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Tracing on: the cost of the per-processor ring-buffer emission plus
 // the merge/stable-sort at the end of the run.  Deliberately NOT in the
@@ -462,7 +480,8 @@ void BM_FarmThroughputTraced(benchmark::State& state) {
 BENCHMARK(BM_FarmThroughputTraced)
     ->Arg(1)
     ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Windowed series + SLO evaluation on (tracing stays off): the cost of
 // the per-processor window accumulators, the index-order merge, and
@@ -476,7 +495,8 @@ void BM_FarmThroughputTimeseries(benchmark::State& state) {
 BENCHMARK(BM_FarmThroughputTimeseries)
     ->Arg(1)
     ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Admission-control churn at scale: N resident streams packed ~64 per
@@ -606,7 +626,11 @@ void BM_ShardedJoinRate(benchmark::State& state) {
   }
   state.SetItemsProcessed(joins);
 }
-BENCHMARK(BM_ShardedJoinRate)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedJoinRate)
+    ->Arg(1)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -55,8 +55,8 @@ FrameStats FrameEncoder::encode_frame(const media::YuvFrame& input,
   controller.start_cycle();
 
   // Frame header: geometry and quantizer (what enc::decode_frame needs
-  // besides the reference frame).
-  frame_writer_ = util::BitWriter();
+  // besides the reference frame).  The writer is empty: the previous
+  // frame's finish() moved its bytes out.
   media::put_ue(frame_writer_,
                 static_cast<std::uint32_t>(input.y.mb_cols()));
   media::put_ue(frame_writer_,

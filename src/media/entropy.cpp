@@ -1,6 +1,7 @@
 #include "media/entropy.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.h"
 
@@ -27,30 +28,37 @@ const std::array<int, 64>& zigzag_order() {
 }
 
 void put_ue(util::BitWriter& bw, std::uint32_t v) {
-  // Code number v -> (v+1) written with leading zeros.
+  // Code number v -> (v+1) written with leading zeros: one field of
+  // 2 * width - 1 bits whose top width - 1 bits are zero.  Only
+  // v = 2^32 - 1 needs 65 bits; its first zero goes out on its own.
   const std::uint64_t code = static_cast<std::uint64_t>(v) + 1;
-  int bits = 0;
-  while ((code >> bits) != 0) ++bits;
-  bw.put_bits(0, bits - 1);
-  bw.put_bits(code, bits);
+  const int len = 2 * std::bit_width(code) - 1;
+  if (len > 64) bw.put_bits(0, len - 64);
+  bw.put_bits(code, std::min(len, 64));
 }
 
 std::uint32_t get_ue(util::BitReader& br) {
-  int zeros = 0;
-  while (!br.get_bit()) {
-    ++zeros;
-    if (zeros > 32 || br.overrun()) return 0;  // malformed stream
+  // A valid code has at most 32 leading zeros.  A 33rd zero, or the
+  // first bit past the end, marks a malformed stream: it decodes as 0
+  // after consuming exactly the bits a bit-by-bit scan would have
+  // read up to and including that bit.
+  const std::uint64_t window = br.peek_bits(33);
+  if (window == 0) {
+    br.get_bits(
+        static_cast<int>(std::min<std::int64_t>(br.bits_left() + 1, 33)));
+    return 0;
   }
-  std::uint64_t code = 1;
-  code = (code << zeros) | br.get_bits(zeros);
+  const int zeros = 33 - std::bit_width(window);
+  br.get_bits(zeros + 1);
+  const std::uint64_t code = (std::uint64_t{1} << zeros) | br.get_bits(zeros);
   return static_cast<std::uint32_t>(code - 1);
 }
 
 void put_se(util::BitWriter& bw, std::int32_t v) {
   // 0 -> 0, 1 -> 1, -1 -> 2, 2 -> 3, -2 -> 4, ...
+  const std::int64_t wide = v;
   const std::uint32_t mapped =
-      v > 0 ? static_cast<std::uint32_t>(2 * v - 1)
-            : static_cast<std::uint32_t>(-2 * static_cast<std::int64_t>(v));
+      static_cast<std::uint32_t>(wide > 0 ? 2 * wide - 1 : -2 * wide);
   put_ue(bw, mapped);
 }
 

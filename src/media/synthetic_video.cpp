@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
 
@@ -19,6 +21,43 @@ double noise_hash(int x, int y, int t, std::uint64_t seed) {
   h = (h ^ (h >> 29)) * 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 32;
   return (static_cast<double>(h & 0xffffff) / double(0xffffff)) * 2.0 - 1.0;
+}
+
+/// One moving object's disc at one frame, on a sample grid whose
+/// sample (i, j) sits at luma position (step * i, step * j).  Only the
+/// samples of its bounding box can lie inside it (|dx| and |dy| must
+/// both be below the radius), so the box, widened by one sample against
+/// rounding and clipped to the grid, is all a renderer has to visit.
+struct Disc {
+  int x0 = 0, y0 = 0;  ///< first column / row of the box
+  int y1 = 0;          ///< one past its last row
+  double r2 = 0.0;     ///< squared radius
+  std::vector<double> dx;  ///< step * i - cx per box column
+  std::vector<double> dy;  ///< step * j - cy per box row
+  std::vector<double> tex_x, tex_y;  ///< luma texture factors (frame())
+};
+
+/// The half-open range of samples i in [0, n) with |step * i - c| < r,
+/// plus a one-sample margin.
+std::pair<int, int> box_span(double c, double r, int step, int n) {
+  const double lo = std::floor((c - r) / step) - 1.0;
+  const double hi = std::ceil((c + r) / step) + 1.0;
+  return {static_cast<int>(std::clamp(lo, 0.0, static_cast<double>(n))),
+          static_cast<int>(std::clamp(hi, 0.0, static_cast<double>(n)))};
+}
+
+Disc disc_at(double cx, double cy, double radius, int step, int width,
+             int height) {
+  Disc d;
+  d.r2 = radius * radius;
+  const auto [x0, x1] = box_span(cx, radius, step, width);
+  const auto [y0, y1] = box_span(cy, radius, step, height);
+  d.x0 = x0;
+  d.y0 = y0;
+  d.y1 = y1;
+  for (int i = x0; i < x1; ++i) d.dx.push_back(step * i - cx);
+  for (int j = y0; j < y1; ++j) d.dy.push_back(step * j - cy);
+  return d;
 }
 
 }  // namespace
@@ -117,39 +156,82 @@ Frame SyntheticVideo::frame(int index) const {
   const int s = scene_of(index);
   const Scene& scene = scenes_[static_cast<std::size_t>(s)];
   const int local_t = index - starts_[static_cast<std::size_t>(s)];
-
-  Frame out(config_.width, config_.height);
+  const int width = config_.width;
+  const int height = config_.height;
   const double ox = scene.pan_vx * local_t;
   const double oy = scene.pan_vy * local_t;
-  for (int y = 0; y < config_.height; ++y) {
-    for (int x = 0; x < config_.width; ++x) {
-      const double wx = x + ox;
-      const double wy = y + oy;
-      double v = scene.base_level;
-      v += scene.amp1 *
-           std::sin(scene.fx1 * wx * 2.0 * kPi + scene.ph1) *
-           std::cos(scene.fy1 * wy * 2.0 * kPi);
-      v += scene.amp2 *
-           std::sin(scene.fx2 * wx * 2.0 * kPi +
-                    scene.fy2 * wy * 2.0 * kPi + scene.ph2);
-      // Moving objects: smooth discs with soft edges and a little
-      // internal texture.
-      for (const auto& obj : scene.objects) {
-        const double cx = obj.cx + obj.vx * local_t;
-        const double cy = obj.cy + obj.vy * local_t;
-        const double dx = x - cx;
-        const double dy = y - cy;
-        const double d2 = dx * dx + dy * dy;
-        const double r2 = obj.radius * obj.radius;
-        if (d2 < r2) {
-          const double falloff = 1.0 - d2 / r2;
-          const double texture =
-              0.3 * std::sin(0.5 * dx + obj.phase) * std::cos(0.5 * dy);
-          v += obj.brightness * falloff * (1.0 + texture);
+
+  // Background: sinusoid 1 is a product of an x-only and a y-only
+  // factor; sinusoid 2's argument is a sum of an x-only and a y-only
+  // term, so only its sin() is left per pixel.
+  std::vector<double> sin1_x(static_cast<std::size_t>(width));
+  std::vector<double> arg2_x(static_cast<std::size_t>(width));
+  for (int x = 0; x < width; ++x) {
+    const double wx = x + ox;
+    sin1_x[static_cast<std::size_t>(x)] =
+        scene.amp1 * std::sin(scene.fx1 * wx * 2.0 * kPi + scene.ph1);
+    arg2_x[static_cast<std::size_t>(x)] = scene.fx2 * wx * 2.0 * kPi;
+  }
+  std::vector<double> cos1_y(static_cast<std::size_t>(height));
+  std::vector<double> arg2_y(static_cast<std::size_t>(height));
+  for (int y = 0; y < height; ++y) {
+    const double wy = y + oy;
+    cos1_y[static_cast<std::size_t>(y)] = std::cos(scene.fy1 * wy * 2.0 * kPi);
+    arg2_y[static_cast<std::size_t>(y)] = scene.fy2 * wy * 2.0 * kPi;
+  }
+
+  // Moving objects: smooth discs with soft edges and a little internal
+  // texture, 0.3 * sin(0.5 * dx + phase) * cos(0.5 * dy).
+  std::vector<Disc> discs;
+  discs.reserve(scene.objects.size());
+  for (const auto& obj : scene.objects) {
+    Disc d = disc_at(obj.cx + obj.vx * local_t, obj.cy + obj.vy * local_t,
+                     obj.radius, 1, width, height);
+    d.tex_x.resize(d.dx.size());
+    for (std::size_t i = 0; i < d.dx.size(); ++i) {
+      d.tex_x[i] = 0.3 * std::sin(0.5 * d.dx[i] + obj.phase);
+    }
+    d.tex_y.resize(d.dy.size());
+    for (std::size_t j = 0; j < d.dy.size(); ++j) {
+      d.tex_y[j] = std::cos(0.5 * d.dy[j]);
+    }
+    discs.push_back(std::move(d));
+  }
+
+  Frame out(width, height);
+  std::vector<double> v(static_cast<std::size_t>(width));
+  for (int y = 0; y < height; ++y) {
+    const double cos1 = cos1_y[static_cast<std::size_t>(y)];
+    const double arg2 = arg2_y[static_cast<std::size_t>(y)];
+    for (std::size_t x = 0; x < v.size(); ++x) {
+      double p = scene.base_level;
+      p += sin1_x[x] * cos1;
+      p += scene.amp2 * std::sin(arg2_x[x] + arg2 + scene.ph2);
+      v[x] = p;
+    }
+    for (std::size_t o = 0; o < discs.size(); ++o) {
+      const Disc& d = discs[o];
+      if (y < d.y0 || y >= d.y1) continue;
+      const std::size_t j = static_cast<std::size_t>(y - d.y0);
+      const double dy2 = d.dy[j] * d.dy[j];
+      const double tex_y = d.tex_y[j];
+      const double brightness = scene.objects[o].brightness;
+      for (std::size_t i = 0; i < d.dx.size(); ++i) {
+        const double d2 = d.dx[i] * d.dx[i] + dy2;
+        if (d2 < d.r2) {
+          const double falloff = 1.0 - d2 / d.r2;
+          const double texture = d.tex_x[i] * tex_y;
+          v[static_cast<std::size_t>(d.x0) + i] +=
+              brightness * falloff * (1.0 + texture);
         }
       }
-      v += config_.noise_amplitude * noise_hash(x, y, index, config_.seed);
-      out.set(x, y, static_cast<Sample>(std::clamp(v, 0.0, 255.0)));
+    }
+    Sample* row = out.row(y);
+    for (int x = 0; x < width; ++x) {
+      const double p = v[static_cast<std::size_t>(x)] +
+                       config_.noise_amplitude *
+                           noise_hash(x, y, index, config_.seed);
+      row[x] = static_cast<Sample>(std::clamp(p, 0.0, 255.0));
     }
   }
   return out;
@@ -164,38 +246,62 @@ YuvFrame SyntheticVideo::frame_yuv(int index) const {
   out.y = frame(index);
   out.cb = Plane(config_.width / 2, config_.height / 2);
   out.cr = Plane(config_.width / 2, config_.height / 2);
+  const int width = out.cb.width();
+  const int height = out.cb.height();
 
+  // Chroma sample (cx, cy) sits at luma position (2cx, 2cy); the color
+  // fields live in world coordinates so they pan with the luma.  Before
+  // the object tints, cb depends on cx only and cr on cy only.
   const double ox = scene.pan_vx * local_t;
   const double oy = scene.pan_vy * local_t;
-  for (int cy = 0; cy < out.cb.height(); ++cy) {
-    for (int cx = 0; cx < out.cb.width(); ++cx) {
-      // Chroma sample sits at luma position (2cx, 2cy); the color
-      // fields live in world coordinates so they pan with the luma.
-      const double wx = 2 * cx + ox;
-      const double wy = 2 * cy + oy;
-      double cb = scene.cb_base +
-                  scene.chroma_amp *
-                      std::sin(scene.chroma_freq * wx * 2.0 * kPi +
-                               scene.chroma_phase);
-      double cr = scene.cr_base +
-                  scene.chroma_amp *
-                      std::cos(scene.chroma_freq * wy * 2.0 * kPi +
-                               scene.chroma_phase);
-      for (const auto& obj : scene.objects) {
-        const double ocx = obj.cx + obj.vx * local_t;
-        const double ocy = obj.cy + obj.vy * local_t;
-        const double dx = 2 * cx - ocx;
-        const double dy = 2 * cy - ocy;
-        const double d2 = dx * dx + dy * dy;
-        const double r2 = obj.radius * obj.radius;
-        if (d2 < r2) {
-          const double falloff = 1.0 - d2 / r2;
-          cb += obj.tint_cb * falloff;
-          cr += obj.tint_cr * falloff;
+  std::vector<double> cb_x(static_cast<std::size_t>(width));
+  for (int cx = 0; cx < width; ++cx) {
+    const double wx = 2 * cx + ox;
+    cb_x[static_cast<std::size_t>(cx)] =
+        scene.cb_base +
+        scene.chroma_amp *
+            std::sin(scene.chroma_freq * wx * 2.0 * kPi + scene.chroma_phase);
+  }
+  std::vector<Disc> discs;
+  discs.reserve(scene.objects.size());
+  for (const auto& obj : scene.objects) {
+    discs.push_back(disc_at(obj.cx + obj.vx * local_t,
+                            obj.cy + obj.vy * local_t, obj.radius, 2, width,
+                            height));
+  }
+
+  std::vector<double> cb(static_cast<std::size_t>(width));
+  std::vector<double> cr(static_cast<std::size_t>(width));
+  for (int cy = 0; cy < height; ++cy) {
+    const double wy = 2 * cy + oy;
+    const double cr_y =
+        scene.cr_base +
+        scene.chroma_amp *
+            std::cos(scene.chroma_freq * wy * 2.0 * kPi + scene.chroma_phase);
+    cb = cb_x;
+    std::fill(cr.begin(), cr.end(), cr_y);
+    for (std::size_t o = 0; o < discs.size(); ++o) {
+      const Disc& d = discs[o];
+      if (cy < d.y0 || cy >= d.y1) continue;
+      const double dy = d.dy[static_cast<std::size_t>(cy - d.y0)];
+      const double dy2 = dy * dy;
+      const MovingObject& obj = scene.objects[o];
+      for (std::size_t i = 0; i < d.dx.size(); ++i) {
+        const double d2 = d.dx[i] * d.dx[i] + dy2;
+        if (d2 < d.r2) {
+          const double falloff = 1.0 - d2 / d.r2;
+          cb[static_cast<std::size_t>(d.x0) + i] += obj.tint_cb * falloff;
+          cr[static_cast<std::size_t>(d.x0) + i] += obj.tint_cr * falloff;
         }
       }
-      out.cb.set(cx, cy, static_cast<Sample>(std::clamp(cb, 0.0, 255.0)));
-      out.cr.set(cx, cy, static_cast<Sample>(std::clamp(cr, 0.0, 255.0)));
+    }
+    Sample* cb_row = out.cb.row(cy);
+    Sample* cr_row = out.cr.row(cy);
+    for (int cx = 0; cx < width; ++cx) {
+      cb_row[cx] = static_cast<Sample>(
+          std::clamp(cb[static_cast<std::size_t>(cx)], 0.0, 255.0));
+      cr_row[cx] = static_cast<Sample>(
+          std::clamp(cr[static_cast<std::size_t>(cx)], 0.0, 255.0));
     }
   }
   return out;

@@ -13,6 +13,17 @@
 //  * per-scene motion magnitude varies -> per-scene ME load and
 //    bitrate levels differ (the plateaus between jumps);
 //  * mild sensor noise keeps residuals non-degenerate.
+//
+// Evaluation.  A pixel is background + objects (in scene order) +
+// noise, clamped.  The renderer computes the x-only and y-only factors
+// of that formula once per column and row (the background sinusoids,
+// each object's offsets and texture factors) and visits an object only
+// inside its clipped bounding box, accumulating each row in doubles in
+// the per-pixel order.  Every table entry is the very expression the
+// per-pixel formula evaluates, so the bytes match a direct per-pixel
+// evaluation exactly; tests/media/synthetic_video_test.cpp pins them,
+// and the TU is built without floating-point contraction (a fused
+// multiply-add would change them).
 #pragma once
 
 #include <vector>
@@ -40,7 +51,8 @@ class SyntheticVideo {
   const VideoConfig& config() const { return config_; }
   int num_frames() const { return config_.num_frames; }
 
-  /// Renders the luma of frame `index` (0-based).
+  /// Renders the luma of frame `index` (0-based).  Equal to
+  /// frame_yuv(index).y.
   Frame frame(int index) const;
 
   /// Renders the full 4:2:0 frame: the luma of frame() plus per-scene

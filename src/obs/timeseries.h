@@ -54,9 +54,13 @@ inline std::string of_class(const char* base, std::size_t cls) {
 inline std::string of_shard(const char* base, int shard) {
   return std::string(base) + "/shard" + std::to_string(shard);
 }
+/// `base` + "/cpu": the common prefix of base's per-processor copies.
+inline std::string cpu_prefix(const char* base) {
+  return std::string(base) + "/cpu";
+}
 /// `base` + "/cpu<p>": a per-processor copy of a data-plane track.
 inline std::string of_cpu(const char* base, int processor) {
-  return std::string(base) + "/cpu" + std::to_string(processor);
+  return cpu_prefix(base) + std::to_string(processor);
 }
 }  // namespace tracks
 

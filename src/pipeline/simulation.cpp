@@ -167,7 +167,7 @@ const enc::EncoderSystem& StreamSession::repaced_system(rt::Cycles remaining) {
 }
 
 FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
-  const media::YuvFrame input = video_.frame_yuv(index);
+  media::YuvFrame input = video_.frame_yuv(index);
 
   // Late start under backlog: re-pace this frame's deadlines over the
   // remaining window instead of entering arrival-paced tables with
@@ -190,6 +190,10 @@ FrameRecord StreamSession::encode(int index, rt::Cycles t0) {
   const enc::FrameStats stats = encoder_.encode_frame(
       input, *controller, *sys->system, rate_.qp(), elapsed);
   rate_.frame_encoded(stats.bits);
+  if (track_delivery_) {
+    encoded_luma_ = std::move(input.y);
+    encoded_index_ = index;
+  }
 
   FrameRecord rec;
   rec.index = index;
@@ -222,45 +226,42 @@ FrameRecord StreamSession::skip(int index) {
   return rec;
 }
 
-void StreamSession::score_against_display(FrameRecord* rec) const {
-  const media::Frame input = video_.frame(rec->index);
+void StreamSession::score_against_display(FrameRecord* rec) {
+  std::optional<media::Frame> kept = std::move(encoded_luma_);
+  encoded_luma_.reset();
+  const media::YuvFrame* shown = nullptr;
   if (track_delivery_) {
-    if (!displayed_) return;  // nothing ever displayed: scores stay 0
-    const quality::FrameDistortion d = quality::measure(input, displayed_->y);
-    rec->psnr = d.psnr;
-    rec->ssim = d.ssim;
-    return;
+    if (displayed_) shown = &*displayed_;
+  } else if (encoder_.has_reference()) {
+    shown = &encoder_.reconstructed();
   }
-  if (encoder_.has_reference()) {
-    const quality::FrameDistortion d =
-        quality::measure(input, encoder_.reconstructed().y);
-    rec->psnr = d.psnr;
-    rec->ssim = d.ssim;
-  }
+  if (shown == nullptr) return;  // nothing displayed yet: scores stay 0
+  const media::Frame input = kept && encoded_index_ == rec->index
+                                 ? std::move(*kept)
+                                 : video_.frame(rec->index);
+  const quality::FrameDistortion d = quality::measure(input, shown->y);
+  rec->psnr = d.psnr;
+  rec->ssim = d.ssim;
 }
 
 FrameRecord StreamSession::deliver(FrameRecord rec) {
   if (!track_delivery_) return rec;
   enc::DecodeResult d = enc::decode_frame(
       encoder_.bitstream(), displayed_ ? &*displayed_ : nullptr);
-  if (!d.ok) {
+  if (d.ok) {
+    displayed_ = std::move(d.frame);
+  } else {
     // Un-decodable at the receiver (e.g. an inter frame whose
     // reference never survived to the decoder): conceal instead of
     // crashing — the viewer keeps the previous picture.
     rec.concealed = true;
-    score_against_display(&rec);
-    return rec;
   }
-  displayed_ = std::move(d.frame);
-  // Re-score against the *decoded* picture.  While encoder and
+  // Re-score against what is now displayed.  While encoder and
   // decoder references agree the decode is bit-exact with the
   // encoder's reconstruction and the scores are unchanged; after a
   // concealment the decoder predicts from its stale reference, and
   // the drift measured here is the real propagation cost.
-  const quality::FrameDistortion dist =
-      quality::measure(video_.frame(rec.index), displayed_->y);
-  rec.psnr = dist.psnr;
-  rec.ssim = dist.ssim;
+  score_against_display(&rec);
   return rec;
 }
 

@@ -191,7 +191,10 @@ class StreamSession {
   /// what a viewer displays — stale-reference propagation included.
   /// Off by default: without faults the decode is bit-exact with the
   /// encoder's reconstruction and every score is unchanged, so
-  /// fault-free runs skip the decode cost entirely.
+  /// fault-free runs skip the decode cost entirely.  While tracking,
+  /// encode() keeps the luma it just encoded, and the deliver() or
+  /// lose() that follows scores against it and releases it instead of
+  /// synthesizing the source frame a second time.
   void track_delivery() { track_delivery_ = true; }
   bool tracking_delivery() const { return track_delivery_; }
 
@@ -226,8 +229,10 @@ class StreamSession {
  private:
   /// Scores `rec` against what the viewer currently displays: the
   /// decoder chain's last output when tracking, the encoder's
-  /// reconstruction otherwise (the skip() scoring path).
-  void score_against_display(FrameRecord* rec) const;
+  /// reconstruction otherwise (the skip() scoring path).  Takes the
+  /// source luma from encoded_luma_ when it holds rec's frame, else
+  /// synthesizes it, and releases encoded_luma_ either way.
+  void score_against_display(FrameRecord* rec);
   /// True when the configured controller holds no cross-frame state
   /// and may be rebuilt at will (table / online / constant).
   bool stateless_controller() const;
@@ -258,6 +263,10 @@ class StreamSession {
   /// The decoder chain's displayed frame (and inter-prediction
   /// reference) when tracking; empty before the first delivery.
   std::optional<media::YuvFrame> displayed_;
+  /// When tracking: the luma of the frame encode() just encoded, and
+  /// its index, held until the deliver() / lose() that scores it.
+  std::optional<media::Frame> encoded_luma_;
+  int encoded_index_ = -1;
 };
 
 /// Runs the full system simulation.

@@ -1,13 +1,19 @@
 // Bit-level writer/reader used by the entropy coder.
 //
-// BitWriter accumulates bits MSB-first into a byte buffer; BitReader
-// replays them.  Both are deliberately simple: the encoder substrate
-// needs exact bit accounting (the rate controller steers on it), not
-// peak throughput.
+// BitWriter packs bits MSB-first into a byte buffer; BitReader replays
+// them.  The encoder substrate needs exact bit accounting (the rate
+// controller steers on it), and the coder sits on every frame's hot
+// path, so both move bits a word at a time: the writer collects up to
+// 64 bits in an accumulator and flushes whole bytes, the reader
+// extracts any 0..64-bit field from an 8-byte window.  The bytes are
+// the same as a bit-by-bit implementation's (tests/util/bitio_test.cpp
+// checks both against a bit-serial reference).
 #pragma once
 
 #include <cstdint>
 #include <vector>
+
+#include "util/check.h"
 
 namespace qosctrl::util {
 
@@ -16,7 +22,18 @@ class BitWriter {
  public:
   /// Appends the `count` low bits of `value`, most significant first.
   /// Requires 0 <= count <= 64.
-  void put_bits(std::uint64_t value, int count);
+  void put_bits(std::uint64_t value, int count) {
+    QC_EXPECT(count >= 0 && count <= 64, "bit count must be in [0, 64]");
+    if (count == 0) return;
+    bit_count_ += count;
+    value &= ~std::uint64_t{0} >> (64 - count);
+    if (count < 64 - pending_) {
+      acc_ = (acc_ << count) | value;
+      pending_ += count;
+      return;
+    }
+    spill(value, count);
+  }
 
   /// Appends a single bit.
   void put_bit(bool bit) { put_bits(bit ? 1 : 0, 1); }
@@ -24,16 +41,18 @@ class BitWriter {
   /// Number of bits written so far.
   std::int64_t bit_count() const { return bit_count_; }
 
-  /// Pads with zero bits to a byte boundary and returns the buffer.
+  /// Pads with zero bits to a byte boundary and moves the buffer out;
+  /// the writer is left empty, as if newly constructed.
   std::vector<std::uint8_t> finish();
 
-  /// Read-only view of the (possibly unpadded) buffer.
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-
  private:
+  /// put_bits() when `count` bits do not fit next to the pending ones:
+  /// fills the accumulator, flushes its 8 bytes and keeps the rest.
+  void spill(std::uint64_t value, int count);
+
   std::vector<std::uint8_t> bytes_;
-  std::uint8_t current_ = 0;
-  int filled_ = 0;  // bits used in current_
+  std::uint64_t acc_ = 0;  ///< the pending bits, right-aligned
+  int pending_ = 0;        ///< number of pending bits, in [0, 63]
   std::int64_t bit_count_ = 0;
 };
 
@@ -43,10 +62,21 @@ class BitReader {
   explicit BitReader(const std::vector<std::uint8_t>& bytes)
       : bytes_(bytes) {}
 
-  /// Reads `count` bits (MSB first).  Reading past the end returns zero
-  /// bits and sets overrun().
+  /// Reads `count` bits (MSB first), 0 <= count <= 64.  Bits past the
+  /// end read as zero and set overrun(); the position still advances.
   std::uint64_t get_bits(int count);
+
   bool get_bit() { return get_bits(1) != 0; }
+
+  /// The next `count` bits (0 <= count <= 64) without consuming them;
+  /// bits past the end read as zero.
+  std::uint64_t peek_bits(int count) const;
+
+  /// Bits left before the end of the buffer (0 once past it).
+  std::int64_t bits_left() const {
+    const std::int64_t size = static_cast<std::int64_t>(bytes_.size()) * 8;
+    return pos_ < size ? size - pos_ : 0;
+  }
 
   std::int64_t bits_consumed() const { return pos_; }
   bool overrun() const { return overrun_; }

@@ -3,13 +3,20 @@
 
 Reads two google-benchmark JSON files (the format tools/run_bench.sh
 writes: aggregates only, 3 repetitions) and fails when a tracked
-benchmark's mean cpu_time regressed by more than the allowed factor.
+benchmark's mean time regressed by more than the allowed factor.  Kernel
+rows are compared on cpu_time.  Rows timed with UseRealTime() (the
+farm and join-storm rows; google-benchmark names them ".../real_time")
+are compared on real_time: their work runs on worker threads, and
+cpu_time counts only the main thread's share of it.  The two files' num_cpus
+(google-benchmark's context field) are compared too; a mismatch is
+reported as a warning, since the multi-worker rows then measure
+different amounts of parallelism.
 
 CI runners and developer machines differ in absolute speed, so by
 default every per-benchmark ratio is normalized by the *median* ratio
 across all benchmarks shared by the two files: a uniformly slower
 machine cancels out, while a single kernel that regressed relative to
-its peers stands out.  Pass --absolute to compare raw cpu_time instead
+its peers stands out.  Pass --absolute to compare raw times instead
 (meaningful only against a baseline recorded on the same machine).
 
 When $GITHUB_STEP_SUMMARY is set (i.e. under GitHub Actions), a
@@ -40,33 +47,43 @@ import sys
 # ShardedJoinRate tracks the flash-crowd join storm on a 1024-processor
 # fleet at 1 and 64 shards: the pinned >= 10x sharded-vs-single join
 # rate lives in the ratio of these two rows (see docs/scenarios.md).
+# SyntheticFrame(Yuv) and EntropyEncodeBlock track the source renderer
+# and the block entropy coder, the two data-plane layers that dominate
+# a farm run's wall clock.
 DEFAULT_BENCHMARKS = (
     r"^BM_(SadMacroblock|ForwardDct8|PsnrFrame|SsimFrame"
+    r"|SyntheticFrame(Yuv)?|EntropyEncodeBlock"
     r"|AdmissionThroughput(Exact)?/\d+"
-    r"|ShardedJoinRate/\d+"
-    r"|FarmThroughput(Preemptive|Quantum|Faults|Timeseries)?/\d+)$"
+    r"|ShardedJoinRate/\d+/real_time"
+    r"|FarmThroughput(Preemptive|Quantum|Faults|Timeseries)?/\d+/real_time)$"
 )
 
 
 def load_means(path):
-    """run_name -> mean cpu_time (ns) from an aggregates-only JSON."""
+    """(run_name -> mean time in ns, num_cpus) from an aggregates-only
+    JSON: real_time for the wall-clock rows, cpu_time for the rest."""
     with open(path) as f:
         doc = json.load(f)
     means = {}
     for b in doc.get("benchmarks", []):
         if b.get("aggregate_name") != "mean":
             continue
-        means[b["run_name"]] = float(b["cpu_time"])
-    return means
+        name = b["run_name"]
+        field = "real_time" if name.endswith("/real_time") else "cpu_time"
+        means[name] = float(b[field])
+    return means, doc.get("context", {}).get("num_cpus")
 
 
 def write_step_summary(rows, scale, max_slowdown, failures, missing,
-                       added):
+                       added, cpu_warning):
     """Append the per-kernel delta table to $GITHUB_STEP_SUMMARY."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not path:
         return
     lines = ["## Bench regression check", ""]
+    if cpu_warning:
+        lines.append(f":warning: {cpu_warning}")
+        lines.append("")
     if missing:
         lines.append(
             f":x: **{len(missing)} tracked benchmark(s) disappeared "
@@ -129,13 +146,20 @@ def main():
                          f"(default: {DEFAULT_BENCHMARKS})")
     ap.add_argument("--max-slowdown", type=float, default=1.25,
                     help="failure threshold on the (normalized) "
-                         "cpu_time ratio (default: 1.25 = 25%% slower)")
+                         "time ratio (default: 1.25 = 25%% slower)")
     ap.add_argument("--absolute", action="store_true",
                     help="skip machine-speed normalization")
     args = ap.parse_args()
 
-    base = load_means(args.baseline)
-    cur = load_means(args.current)
+    base, base_cpus = load_means(args.baseline)
+    cur, cur_cpus = load_means(args.current)
+    cpu_warning = None
+    if base_cpus != cur_cpus:
+        cpu_warning = (
+            f"baseline recorded on {base_cpus} CPU(s), current run on "
+            f"{cur_cpus}: the multi-worker farm rows are not comparable; "
+            f"re-record the baseline on a machine like the current one")
+        print(f"warning: {cpu_warning}")
     pattern = re.compile(args.benchmarks)
     shared = sorted(set(base) & set(cur))
 
@@ -189,7 +213,7 @@ def main():
             failures.append(name)
 
     write_step_summary(rows, scale, args.max_slowdown, failures, missing,
-                       added)
+                       added, cpu_warning)
 
     if missing:
         print(f"\nerror: {len(missing)} tracked benchmark(s) missing "

@@ -29,6 +29,7 @@
 
 #include "cli_util.h"
 #include "obs/buildinfo.h"
+#include "obs/timeseries.h"
 #include "util/json.h"
 
 namespace {
@@ -309,16 +310,17 @@ void render_timeseries(const JsonValue& doc, std::ostringstream& html) {
   std::map<int, Track> cpu_tracks;
   std::vector<std::pair<std::string, Track>> spark_tracks;
   long long last_window = -1;
+  const std::string cpu_prefix =
+      qosctrl::obs::tracks::cpu_prefix(qosctrl::obs::tracks::kBusyCycles);
   for (const auto& [name, value] : tracks_v->members()) {
     Track track;
     if (!parse_track(value, &track)) continue;
     if (!track.empty()) {
       last_window = std::max(last_window, track.back().window);
     }
-    const std::string kCpuPrefix = "busy_cycles/cpu";
-    if (name.compare(0, kCpuPrefix.size(), kCpuPrefix) == 0) {
+    if (name.compare(0, cpu_prefix.size(), cpu_prefix) == 0) {
       int cpu = 0;
-      if (qosctrl::cli::parse_int(name.c_str() + kCpuPrefix.size(), &cpu)) {
+      if (qosctrl::cli::parse_int(name.c_str() + cpu_prefix.size(), &cpu)) {
         cpu_tracks.emplace(cpu, std::move(track));
         continue;
       }
