@@ -5,6 +5,7 @@
 
 #include "encoder/body.h"
 #include "obs/buildinfo.h"
+#include "util/json.h"
 
 namespace qosctrl::farm {
 namespace {
@@ -21,31 +22,16 @@ const char* mode_name(pipe::ControlMode mode) {
   return "?";
 }
 
-void json_kv(std::ostringstream& os, const char* key, double v,
-             bool comma = true) {
-  os << '"' << key << "\":" << v;
-  if (comma) os << ',';
-}
-
-void json_kv(std::ostringstream& os, const char* key, long long v,
-             bool comma = true) {
-  os << '"' << key << "\":" << v;
-  if (comma) os << ',';
-}
-
 /// The eight StreamFaultStats counters, in report order.
-void json_faults(std::ostringstream& os, const StreamFaultStats& f) {
-  auto kv = [&](const char* key, int v) {
-    json_kv(os, key, static_cast<long long>(v));
-  };
-  kv("overruns_injected", f.overruns_injected);
-  kv("overruns_policed", f.overruns_policed);
-  kv("aborted_frames", f.aborted_frames);
-  kv("forced_downgrades", f.forced_downgrades);
-  kv("quarantines", f.quarantines);
-  kv("quarantine_drops", f.quarantine_drops);
-  kv("lost_frames", f.lost_frames);
-  kv("failure_drops", f.failure_drops);
+void write_faults(util::JsonWriter& w, const StreamFaultStats& f) {
+  w.field("overruns_injected", f.overruns_injected);
+  w.field("overruns_policed", f.overruns_policed);
+  w.field("aborted_frames", f.aborted_frames);
+  w.field("forced_downgrades", f.forced_downgrades);
+  w.field("quarantines", f.quarantines);
+  w.field("quarantine_drops", f.quarantine_drops);
+  w.field("lost_frames", f.lost_frames);
+  w.field("failure_drops", f.failure_drops);
 }
 
 }  // namespace
@@ -244,222 +230,210 @@ std::string summarize(const FarmResult& r) {
 }
 
 std::string to_json(const FarmResult& r) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "{\"build\":{" << obs::build_json_fields() << ',';
-  json_kv(os, "farm_seed", static_cast<long long>(r.farm_seed));
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("build");
+  w.begin_object();
+  const obs::BuildInfo info = obs::build_info();
+  w.field("version", info.version);
+  w.field("compiler", info.compiler);
+  w.field("simd_backend", info.simd_backend);
+  w.field("farm_seed", r.farm_seed);
   // 0 = the fault draws were derived from the farm seed.
-  json_kv(os, "fault_seed", static_cast<long long>(r.fault_spec.seed),
-          false);
-  os << "},\"fleet\":{";
-  os << "\"policy\":\"" << sched::policy_name(r.sched.policy.kind) << "\",";
-  json_kv(os, "quantum", static_cast<long long>(r.sched.policy.quantum));
-  json_kv(os, "context_switch_cost",
-          static_cast<long long>(r.sched.policy.context_switch_cost));
-  os << "\"renegotiate\":" << (r.sched.renegotiate ? "true" : "false")
-     << ",\"restore\":" << (r.sched.restore ? "true" : "false")
-     << ",\"split\":" << (r.sched.split ? "true" : "false") << ',';
-  json_kv(os, "preemptions", r.total_preemptions);
-  json_kv(os, "overhead_cycles",
-          static_cast<long long>(r.total_overhead_cycles));
-  json_kv(os, "total_streams", static_cast<long long>(r.total_streams));
-  json_kv(os, "admitted", static_cast<long long>(r.admitted));
-  json_kv(os, "rejected", static_cast<long long>(r.rejected));
-  json_kv(os, "migrated", static_cast<long long>(r.migrated));
-  json_kv(os, "degraded", static_cast<long long>(r.degraded));
-  json_kv(os, "split_streams", static_cast<long long>(r.split_streams));
-  json_kv(os, "admitted_via_renegotiation",
-          static_cast<long long>(r.admitted_via_renegotiation));
-  json_kv(os, "renegotiated_streams",
-          static_cast<long long>(r.renegotiated_streams));
-  json_kv(os, "restored_streams",
-          static_cast<long long>(r.restored_streams));
-  json_kv(os, "rejection_rate", r.rejection_rate);
-  json_kv(os, "total_frames", r.total_frames);
-  json_kv(os, "encoded_frames", r.encoded_frames);
-  json_kv(os, "total_skips", static_cast<long long>(r.total_skips));
-  json_kv(os, "display_misses",
-          static_cast<long long>(r.total_display_misses));
-  json_kv(os, "internal_misses",
-          static_cast<long long>(r.total_internal_misses));
-  json_kv(os, "mean_psnr", r.fleet_mean_psnr);
-  json_kv(os, "mean_ssim", r.fleet_mean_ssim);
-  json_kv(os, "total_concealed", r.total_concealed);
-  json_faults(os, r.faults_total);
-  json_kv(os, "quarantined_streams",
-          static_cast<long long>(r.quarantined_streams));
-  json_kv(os, "failover_readmissions",
-          static_cast<long long>(r.failover_readmissions));
-  json_kv(os, "failover_drops",
-          static_cast<long long>(r.failover_drops));
-  json_kv(os, "mean_quality", r.fleet_mean_quality, false);
-  os << ",\"quality_histogram\":[";
-  for (std::size_t q = 0; q < r.quality_histogram.size(); ++q) {
-    os << (q ? "," : "") << r.quality_histogram[q];
+  w.field("fault_seed", r.fault_spec.seed);
+  w.end_object();
+  w.key("fleet");
+  w.begin_object();
+  w.field("policy", sched::policy_name(r.sched.policy.kind));
+  w.field("quantum", r.sched.policy.quantum);
+  w.field("context_switch_cost", r.sched.policy.context_switch_cost);
+  w.field("renegotiate", r.sched.renegotiate);
+  w.field("restore", r.sched.restore);
+  w.field("split", r.sched.split);
+  w.field("preemptions", r.total_preemptions);
+  w.field("overhead_cycles", r.total_overhead_cycles);
+  w.field("total_streams", r.total_streams);
+  w.field("admitted", r.admitted);
+  w.field("rejected", r.rejected);
+  w.field("migrated", r.migrated);
+  w.field("degraded", r.degraded);
+  w.field("split_streams", r.split_streams);
+  w.field("admitted_via_renegotiation", r.admitted_via_renegotiation);
+  w.field("renegotiated_streams", r.renegotiated_streams);
+  w.field("restored_streams", r.restored_streams);
+  w.field("rejection_rate", r.rejection_rate);
+  w.field("total_frames", r.total_frames);
+  w.field("encoded_frames", r.encoded_frames);
+  w.field("total_skips", r.total_skips);
+  w.field("display_misses", r.total_display_misses);
+  w.field("internal_misses", r.total_internal_misses);
+  w.field("mean_psnr", r.fleet_mean_psnr);
+  w.field("mean_ssim", r.fleet_mean_ssim);
+  w.field("total_concealed", r.total_concealed);
+  write_faults(w, r.faults_total);
+  w.field("quarantined_streams", r.quarantined_streams);
+  w.field("failover_readmissions", r.failover_readmissions);
+  w.field("failover_drops", r.failover_drops);
+  w.field("mean_quality", r.fleet_mean_quality);
+  w.key("quality_histogram");
+  w.begin_array();
+  for (const long long n : r.quality_histogram) w.value(n);
+  w.end_array();
+  w.end_object();
+  w.key("faults");
+  w.begin_object();
+  w.field("overrun_probability", r.fault_spec.overrun.probability);
+  w.field("overrun_factor", r.fault_spec.overrun.factor);
+  w.field("overrun_policy", overrun_policy_name(r.fault_spec.overrun.policy));
+  w.field("loss_probability", r.fault_spec.loss.probability);
+  w.end_object();
+  w.key("failures");
+  w.begin_array();
+  for (const FailureOutcome& fo : r.failures) {
+    w.begin_object();
+    w.field("processor", fo.event.processor);
+    w.field("time", fo.event.time);
+    w.field("permanent", fo.event.permanent());
+    w.field("repair", fo.event.repair);
+    w.field("displaced", fo.displaced);
+    w.field("readmitted", fo.readmitted);
+    w.field("dropped", fo.dropped);
+    w.field("recovered", fo.recovered);
+    w.field("first_recovery", fo.first_recovery);
+    w.field("full_recovery", fo.full_recovery);
+    w.end_object();
   }
-  os << "]},\"faults\":{";
-  json_kv(os, "overrun_probability", r.fault_spec.overrun.probability);
-  json_kv(os, "overrun_factor", r.fault_spec.overrun.factor);
-  os << "\"overrun_policy\":\""
-     << overrun_policy_name(r.fault_spec.overrun.policy) << "\",";
-  json_kv(os, "loss_probability", r.fault_spec.loss.probability, false);
-  os << "},\"failures\":[";
-  for (std::size_t k = 0; k < r.failures.size(); ++k) {
-    const FailureOutcome& fo = r.failures[k];
-    os << (k ? "," : "") << "{";
-    json_kv(os, "processor", static_cast<long long>(fo.event.processor));
-    json_kv(os, "time", static_cast<long long>(fo.event.time));
-    os << "\"permanent\":" << (fo.event.permanent() ? "true" : "false")
-       << ',';
-    json_kv(os, "repair", static_cast<long long>(fo.event.repair));
-    json_kv(os, "displaced", static_cast<long long>(fo.displaced));
-    json_kv(os, "readmitted", static_cast<long long>(fo.readmitted));
-    json_kv(os, "dropped", static_cast<long long>(fo.dropped));
-    json_kv(os, "recovered", static_cast<long long>(fo.recovered));
-    json_kv(os, "first_recovery", static_cast<long long>(fo.first_recovery));
-    json_kv(os, "full_recovery", static_cast<long long>(fo.full_recovery),
-            false);
-    os << "}";
-  }
-  os << "],\"processors\":[";
+  w.end_array();
+  w.key("processors");
+  w.begin_array();
   for (std::size_t p = 0; p < r.processors.size(); ++p) {
     const ProcessorOutcome& po = r.processors[p];
-    os << (p ? "," : "") << "{";
-    json_kv(os, "processor", static_cast<long long>(p));
-    json_kv(os, "streams", static_cast<long long>(po.streams_hosted));
-    json_kv(os, "frames", static_cast<long long>(po.frames_encoded));
-    json_kv(os, "busy_cycles", static_cast<long long>(po.busy_cycles));
-    json_kv(os, "span_cycles", static_cast<long long>(po.span_cycles));
-    json_kv(os, "utilization", po.utilization);
-    json_kv(os, "preemptions", static_cast<long long>(po.preemptions));
-    json_kv(os, "overhead_cycles",
-            static_cast<long long>(po.overhead_cycles));
-    os << "\"failed\":" << (po.failed ? "true" : "false") << ',';
-    json_kv(os, "failed_at", static_cast<long long>(po.failed_at));
-    json_kv(os, "fault_conceals",
-            static_cast<long long>(po.fault_conceals));
-    json_kv(os, "peak_committed_utilization",
-            po.peak_committed_utilization, false);
-    os << "}";
+    w.begin_object();
+    w.field("processor", p);
+    w.field("streams", po.streams_hosted);
+    w.field("frames", po.frames_encoded);
+    w.field("busy_cycles", po.busy_cycles);
+    w.field("span_cycles", po.span_cycles);
+    w.field("utilization", po.utilization);
+    w.field("preemptions", po.preemptions);
+    w.field("overhead_cycles", po.overhead_cycles);
+    w.field("failed", po.failed);
+    w.field("failed_at", po.failed_at);
+    w.field("fault_conceals", po.fault_conceals);
+    w.field("peak_committed_utilization", po.peak_committed_utilization);
+    w.end_object();
   }
-  os << "],\"streams\":[";
-  for (std::size_t i = 0; i < r.streams.size(); ++i) {
-    const StreamOutcome& so = r.streams[i];
-    os << (i ? "," : "") << "{";
-    json_kv(os, "id", static_cast<long long>(so.spec.id));
-    os << "\"mode\":\"" << mode_name(so.spec.mode) << "\",";
-    json_kv(os, "width", static_cast<long long>(so.spec.width));
-    json_kv(os, "height", static_cast<long long>(so.spec.height));
-    json_kv(os, "buffer_capacity",
-            static_cast<long long>(so.spec.buffer_capacity));
-    json_kv(os, "frame_period", static_cast<long long>(period_of(so.spec)));
-    json_kv(os, "join_time", static_cast<long long>(so.spec.join_time));
-    json_kv(os, "num_frames", static_cast<long long>(so.spec.num_frames));
-    os << "\"admitted\":" << (so.placement.admitted ? "true" : "false")
-       << ',';
+  w.end_array();
+  w.key("streams");
+  w.begin_array();
+  for (const StreamOutcome& so : r.streams) {
+    w.begin_object();
+    w.field("id", so.spec.id);
+    w.field("mode", mode_name(so.spec.mode));
+    w.field("width", so.spec.width);
+    w.field("height", so.spec.height);
+    w.field("buffer_capacity", so.spec.buffer_capacity);
+    w.field("frame_period", period_of(so.spec));
+    w.field("join_time", so.spec.join_time);
+    w.field("num_frames", so.spec.num_frames);
+    w.field("admitted", so.placement.admitted);
     if (!so.placement.admitted) {
-      os << "\"reason\":\"" << so.placement.reason << "\"}";
+      w.field("reason", so.placement.reason);
+      w.end_object();
       continue;
     }
-    json_kv(os, "processor", static_cast<long long>(so.placement.processor));
-    json_kv(os, "table_budget",
-            static_cast<long long>(so.placement.table_budget));
-    json_kv(os, "committed_cost",
-            static_cast<long long>(so.placement.committed_cost));
-    os << "\"migrated\":" << (so.placement.migrated ? "true" : "false")
-       << ",\"degraded\":" << (so.placement.degraded ? "true" : "false")
-       << ",\"split\":" << (so.placement.split ? "true" : "false")
-       << ",\"tail_processor\":" << so.placement.tail_processor
-       << ",\"via_renegotiation\":"
-       << (so.placement.via_renegotiation ? "true" : "false")
-       << ",\"renegotiated\":" << (so.renegotiated ? "true" : "false")
-       << ",\"restored\":" << (so.restored ? "true" : "false") << ',';
-    json_kv(os, "final_budget",
-            static_cast<long long>(
-                active_epochs(so).empty()
-                    ? so.placement.table_budget
-                    : active_epochs(so).back().table_budget));
-    json_kv(os, "initial_quality",
-            static_cast<long long>(so.placement.initial_quality));
-    json_kv(os, "skips", static_cast<long long>(so.result.total_skips));
-    json_kv(os, "concealed",
-            static_cast<long long>(so.result.total_concealed));
-    json_kv(os, "display_misses",
-            static_cast<long long>(so.display_misses));
-    json_kv(os, "internal_misses",
-            static_cast<long long>(so.internal_misses));
-    json_kv(os, "max_start_lag", static_cast<long long>(so.max_start_lag));
-    json_kv(os, "mean_start_lag", so.mean_start_lag);
-    json_kv(os, "start_lag_p95", static_cast<long long>(so.start_lag_p95));
-    json_faults(os, so.faults);
-    os << "\"quarantined\":" << (so.quarantined ? "true" : "false") << ',';
-    json_kv(os, "failovers", static_cast<long long>(so.failover.size()));
-    json_kv(os, "mean_psnr", so.result.mean_psnr);
-    json_kv(os, "psnr_p5", so.result.psnr_stats.p5);
-    json_kv(os, "psnr_min", so.result.psnr_stats.min);
-    json_kv(os, "mean_ssim", so.result.mean_ssim);
-    json_kv(os, "ssim_p5", so.result.ssim_stats.p5);
-    json_kv(os, "ssim_min", so.result.ssim_stats.min);
-    json_kv(os, "mean_quality", so.result.mean_quality);
-    json_kv(os, "kbps", so.result.achieved_bps / 1e3);
-    os << "\"phase_cycles\":{";
+    w.field("processor", so.placement.processor);
+    w.field("table_budget", so.placement.table_budget);
+    w.field("committed_cost", so.placement.committed_cost);
+    w.field("migrated", so.placement.migrated);
+    w.field("degraded", so.placement.degraded);
+    w.field("split", so.placement.split);
+    w.field("tail_processor", so.placement.tail_processor);
+    w.field("via_renegotiation", so.placement.via_renegotiation);
+    w.field("renegotiated", so.renegotiated);
+    w.field("restored", so.restored);
+    w.field("final_budget", active_epochs(so).empty()
+                                ? so.placement.table_budget
+                                : active_epochs(so).back().table_budget);
+    w.field("initial_quality", so.placement.initial_quality);
+    w.field("skips", so.result.total_skips);
+    w.field("concealed", so.result.total_concealed);
+    w.field("display_misses", so.display_misses);
+    w.field("internal_misses", so.internal_misses);
+    w.field("max_start_lag", so.max_start_lag);
+    w.field("mean_start_lag", so.mean_start_lag);
+    w.field("start_lag_p95", so.start_lag_p95);
+    write_faults(w, so.faults);
+    w.field("quarantined", so.quarantined);
+    w.field("failovers", so.failover.size());
+    w.field("mean_psnr", so.result.mean_psnr);
+    w.field("psnr_p5", so.result.psnr_stats.p5);
+    w.field("psnr_min", so.result.psnr_stats.min);
+    w.field("mean_ssim", so.result.mean_ssim);
+    w.field("ssim_p5", so.result.ssim_stats.p5);
+    w.field("ssim_min", so.result.ssim_stats.min);
+    w.field("mean_quality", so.result.mean_quality);
+    w.field("kbps", so.result.achieved_bps / 1e3);
+    w.key("phase_cycles");
+    w.begin_object();
     for (int ph = 0; ph < enc::kNumEncodePhases; ++ph) {
-      os << (ph ? "," : "") << '"'
-         << enc::encode_phase_name(static_cast<enc::EncodePhase>(ph))
-         << "\":" << so.result.phase_cycles[static_cast<std::size_t>(ph)];
+      w.field(enc::encode_phase_name(static_cast<enc::EncodePhase>(ph)),
+              so.result.phase_cycles[static_cast<std::size_t>(ph)]);
     }
-    os << "}}";
+    w.end_object();
+    w.end_object();
   }
-  os << "],";
+  w.end_array();
   // Shard block only when sharded, so single-shard JSON is unchanged.
   if (r.shards > 1) {
-    os << "\"shards\":{";
-    json_kv(os, "count", static_cast<long long>(r.shards));
-    json_kv(os, "join_batches", r.join_batches);
-    json_kv(os, "max_join_batch", static_cast<long long>(r.max_join_batch));
-    json_kv(os, "rebalance_migrations",
-            static_cast<long long>(r.rebalance_migrations));
-    os << "\"per_shard\":[";
+    w.key("shards");
+    w.begin_object();
+    w.field("count", r.shards);
+    w.field("join_batches", r.join_batches);
+    w.field("max_join_batch", r.max_join_batch);
+    w.field("rebalance_migrations", r.rebalance_migrations);
+    w.key("per_shard");
+    w.begin_array();
     for (std::size_t s = 0; s < r.shard_outcomes.size(); ++s) {
       const ShardOutcome& sh = r.shard_outcomes[s];
-      os << (s ? "," : "") << "{";
-      json_kv(os, "shard", static_cast<long long>(s));
-      json_kv(os, "first_processor",
-              static_cast<long long>(sh.first_processor));
-      json_kv(os, "num_processors",
-              static_cast<long long>(sh.num_processors));
-      json_kv(os, "admitted", sh.admitted);
-      json_kv(os, "probe_admits", sh.probe_admits);
-      json_kv(os, "rejected", sh.rejected);
-      json_kv(os, "migrations_in", sh.migrations_in);
-      json_kv(os, "migrations_out", sh.migrations_out);
-      json_kv(os, "demand_tests", sh.demand_tests);
-      json_kv(os, "peak_committed_utilization",
-              sh.peak_committed_utilization, false);
-      os << "}";
+      w.begin_object();
+      w.field("shard", s);
+      w.field("first_processor", sh.first_processor);
+      w.field("num_processors", sh.num_processors);
+      w.field("admitted", sh.admitted);
+      w.field("probe_admits", sh.probe_admits);
+      w.field("rejected", sh.rejected);
+      w.field("migrations_in", sh.migrations_in);
+      w.field("migrations_out", sh.migrations_out);
+      w.field("demand_tests", sh.demand_tests);
+      w.field("peak_committed_utilization", sh.peak_committed_utilization);
+      w.end_object();
     }
-    os << "]},";
+    w.end_array();
+    w.end_object();
   }
-  os << "\"metrics\":" << r.metrics.to_json() << ',';
+  w.key("metrics");
+  r.metrics.write_json(w);
   // Series / SLO blocks only when the features ran, so default JSON is
   // unchanged byte for byte.
   if (r.series.window > 0) {
-    os << "\"timeseries\":" << r.series.to_json() << ',';
+    w.key("timeseries");
+    r.series.write_json(w);
   }
   if (!r.slo.objectives.empty()) {
-    os << "\"slo\":" << obs::slo_to_json(r.slo) << ',';
+    w.key("slo");
+    r.slo.write_json(w);
   }
-  json_kv(os, "trace_events", static_cast<long long>(r.trace.size()));
-  json_kv(os, "trace_dropped", r.trace_dropped, false);
+  w.field("trace_events", r.trace.size());
+  w.field("trace_dropped", r.trace_dropped);
   if (!r.trace_dropped_per_buffer.empty()) {
-    os << ",\"trace_dropped_per_buffer\":[";
-    for (std::size_t b = 0; b < r.trace_dropped_per_buffer.size(); ++b) {
-      os << (b ? "," : "") << r.trace_dropped_per_buffer[b];
-    }
-    os << ']';
+    w.key("trace_dropped_per_buffer");
+    w.begin_array();
+    for (const long long n : r.trace_dropped_per_buffer) w.value(n);
+    w.end_array();
   }
-  os << "}";
-  return os.str();
+  w.end_object();
+  return w.take();
 }
 
 std::string to_csv(const FarmResult& r) {

@@ -1,7 +1,5 @@
 #include "obs/buildinfo.h"
 
-#include <sstream>
-
 #include "media/simd/kernels.h"
 
 // Generated into <build>/generated by CMake at configure time; absent
@@ -35,19 +33,8 @@ BuildInfo build_info() {
 
 std::string version_line(const char* tool) {
   const BuildInfo info = build_info();
-  std::ostringstream os;
-  os << tool << ' ' << info.version << " (" << info.compiler
-     << ", simd=" << info.simd_backend << ")";
-  return os.str();
-}
-
-std::string build_json_fields() {
-  const BuildInfo info = build_info();
-  std::ostringstream os;
-  os << "\"version\":\"" << info.version << "\",\"compiler\":\""
-     << info.compiler << "\",\"simd_backend\":\"" << info.simd_backend
-     << '"';
-  return os.str();
+  return std::string(tool) + ' ' + info.version + " (" + info.compiler +
+         ", simd=" + info.simd_backend + ")";
 }
 
 }  // namespace qosctrl::obs

@@ -27,8 +27,4 @@ BuildInfo build_info();
 /// One-line version banner: "<tool> <version> (<compiler>, simd=<b>)".
 std::string version_line(const char* tool);
 
-/// The "build" JSON object body (no braces):
-/// "version":"...","compiler":"...","simd_backend":"...".
-std::string build_json_fields();
-
 }  // namespace qosctrl::obs

@@ -66,27 +66,28 @@ void Registry::merge(const Registry& other) {
   }
 }
 
-std::string Registry::to_json() const {
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    os << (first ? "" : ",") << '"' << name << "\":" << value;
-    first = false;
-  }
-  os << "},\"histograms\":{";
-  first = true;
+void Registry::write_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("counters");
+  w.begin_object();
+  for (const auto& [name, value] : counters_) w.field(name, value);
+  w.end_object();
+  w.key("histograms");
+  w.begin_object();
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ",") << '"' << name << "\":{"
-       << "\"count\":" << h.count() << ",\"sum\":" << h.sum()
-       << ",\"min\":" << h.min() << ",\"max\":" << h.max()
-       << ",\"p50\":" << h.percentile(0.50)
-       << ",\"p95\":" << h.percentile(0.95)
-       << ",\"p99\":" << h.percentile(0.99) << "}";
-    first = false;
+    w.key(name);
+    w.begin_object();
+    w.field("count", h.count());
+    w.field("sum", h.sum());
+    w.field("min", h.min());
+    w.field("max", h.max());
+    w.field("p50", h.percentile(0.50));
+    w.field("p95", h.percentile(0.95));
+    w.field("p99", h.percentile(0.99));
+    w.end_object();
   }
-  os << "}}";
-  return os.str();
+  w.end_object();
+  w.end_object();
 }
 
 std::string Registry::summary() const {

@@ -23,6 +23,8 @@
 #include <map>
 #include <string>
 
+#include "util/json.h"
+
 namespace qosctrl::obs {
 
 /// Fixed-bucket log2 histogram of non-negative 64-bit values
@@ -82,9 +84,9 @@ class Registry {
     return histograms_;
   }
 
-  /// JSON object: {"counters":{...},"histograms":{name:{count,sum,
-  /// min,max,p50,p95,p99}}}.  Pure function of the contents.
-  std::string to_json() const;
+  /// Writes the JSON object {"counters":{...},"histograms":{name:
+  /// {count,sum,min,max,p50,p95,p99}}}.  Pure function of the contents.
+  void write_json(util::JsonWriter& w) const;
 
   /// One line per metric ("metric <name> ..."), for the text summary.
   std::string summary() const;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 #include <deque>
-#include <iomanip>
 #include <sstream>
+#include <utility>
 
 namespace qosctrl::obs {
 namespace {
@@ -16,40 +16,47 @@ namespace {
 constexpr int kFastPoints = 4;
 constexpr int kSlowPoints = 16;
 
-bool parse_metric(const std::string& s, SloMetric* out) {
-  if (s == "latency_p50" || s == "p50_latency") {
-    *out = SloMetric::kLatencyP50;
-  } else if (s == "latency_p95" || s == "p95_latency") {
-    *out = SloMetric::kLatencyP95;
-  } else if (s == "latency_p99" || s == "p99_latency") {
-    *out = SloMetric::kLatencyP99;
-  } else if (s == "queue_p99") {
-    *out = SloMetric::kQueueP99;
-  } else if (s == "miss_rate") {
-    *out = SloMetric::kMissRate;
-  } else if (s == "conceal_rate" || s == "concealment_rate") {
-    *out = SloMetric::kConcealRate;
-  } else if (s == "recovery_latency") {
-    *out = SloMetric::kRecoveryLatency;
-  } else {
-    return false;
+/// Every spelling of each metric and scope; the first one listed for a
+/// value is its canonical name.
+constexpr std::pair<const char*, SloMetric> kMetricNames[] = {
+    {"latency_p50", SloMetric::kLatencyP50},
+    {"latency_p95", SloMetric::kLatencyP95},
+    {"latency_p99", SloMetric::kLatencyP99},
+    {"queue_p99", SloMetric::kQueueP99},
+    {"miss_rate", SloMetric::kMissRate},
+    {"conceal_rate", SloMetric::kConcealRate},
+    {"recovery_latency", SloMetric::kRecoveryLatency},
+    {"p50_latency", SloMetric::kLatencyP50},
+    {"p95_latency", SloMetric::kLatencyP95},
+    {"p99_latency", SloMetric::kLatencyP99},
+    {"concealment_rate", SloMetric::kConcealRate},
+};
+constexpr std::pair<const char*, SloScope> kScopeNames[] = {
+    {"fleet", SloScope::kFleet},
+    {"controlled", SloScope::kControlled},
+    {"constant", SloScope::kConstant},
+    {"feedback", SloScope::kFeedback},
+};
+
+template <class Enum, std::size_t N>
+bool parse_name(const std::pair<const char*, Enum> (&names)[N],
+                const std::string& s, Enum* out) {
+  for (const auto& [name, value] : names) {
+    if (s == name) {
+      *out = value;
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
-bool parse_scope(const std::string& s, SloScope* out) {
-  if (s == "fleet") {
-    *out = SloScope::kFleet;
-  } else if (s == "controlled") {
-    *out = SloScope::kControlled;
-  } else if (s == "constant") {
-    *out = SloScope::kConstant;
-  } else if (s == "feedback") {
-    *out = SloScope::kFeedback;
-  } else {
-    return false;
+template <class Enum, std::size_t N>
+const char* name_of(const std::pair<const char*, Enum> (&names)[N],
+                    Enum value) {
+  for (const auto& [name, v] : names) {
+    if (v == value) return name;
   }
-  return true;
+  return "?";
 }
 
 bool is_rate(SloMetric m) {
@@ -94,7 +101,8 @@ bool parse_threshold(const std::string& s, double* value, bool* in_windows) {
   if (num.empty()) return false;
   char* end = nullptr;
   *value = std::strtod(num.c_str(), &end);
-  return end == num.c_str() + num.size() && *value >= 0.0;
+  return end == num.c_str() + num.size() && std::isfinite(*value) &&
+         *value >= 0.0;
 }
 
 /// The track an objective reads under its scope: the bare fleet track,
@@ -272,73 +280,11 @@ void evaluate_recovery(const SloSpec& spec, const SloInputs& in,
   }
 }
 
-void format_double(std::ostringstream& os, double v) {
-  // Integral values (cycle thresholds, counts) print without a point;
-  // fractions keep full round-trip precision.  Deterministic either way.
-  if (v == static_cast<double>(static_cast<long long>(v))) {
-    os << static_cast<long long>(v);
-  } else {
-    os << std::setprecision(17) << v << std::setprecision(6);
-  }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-const char* slo_metric_name(SloMetric m) {
-  switch (m) {
-    case SloMetric::kLatencyP50:
-      return "latency_p50";
-    case SloMetric::kLatencyP95:
-      return "latency_p95";
-    case SloMetric::kLatencyP99:
-      return "latency_p99";
-    case SloMetric::kQueueP99:
-      return "queue_p99";
-    case SloMetric::kMissRate:
-      return "miss_rate";
-    case SloMetric::kConcealRate:
-      return "conceal_rate";
-    case SloMetric::kRecoveryLatency:
-      return "recovery_latency";
-  }
-  return "?";
-}
+const char* slo_metric_name(SloMetric m) { return name_of(kMetricNames, m); }
 
-const char* slo_scope_name(SloScope s) {
-  switch (s) {
-    case SloScope::kFleet:
-      return "fleet";
-    case SloScope::kControlled:
-      return "controlled";
-    case SloScope::kConstant:
-      return "constant";
-    case SloScope::kFeedback:
-      return "feedback";
-  }
-  return "?";
-}
+const char* slo_scope_name(SloScope s) { return name_of(kScopeNames, s); }
 
 bool parse_slo(const std::string& text, SloSpec* out, std::string* error) {
   auto fail = [&](const std::string& why) {
@@ -351,7 +297,7 @@ bool parse_slo(const std::string& text, SloSpec* out, std::string* error) {
   const std::size_t op = text.find('<');
   if (op == std::string::npos) return fail("missing '<' or '<='");
   if (op == 0) return fail("missing metric name");
-  if (!parse_metric(text.substr(0, op), &out->metric)) {
+  if (!parse_name(kMetricNames, text.substr(0, op), &out->metric)) {
     return fail("unknown metric '" + text.substr(0, op) + "'");
   }
   std::size_t pos = op + 1;
@@ -382,14 +328,14 @@ bool parse_slo(const std::string& text, SloSpec* out, std::string* error) {
         return fail("bad span '" + seg + "' (want e.g. 50ms, 4Mc, 400000c)");
       }
     } else if (kind == ':') {
-      if (!parse_scope(seg, &out->scope)) {
+      if (!parse_name(kScopeNames, seg, &out->scope)) {
         return fail("unknown scope '" + seg + "'");
       }
     } else {  // '%'
       char* end = nullptr;
       out->budget = std::strtod(seg.c_str(), &end);
-      if (end != seg.c_str() + seg.size() || out->budget <= 0.0 ||
-          out->budget > 1.0) {
+      if (end != seg.c_str() + seg.size() ||
+          !(out->budget > 0.0 && out->budget <= 1.0)) {
         return fail("bad budget '" + seg + "' (want a fraction in (0, 1])");
       }
     }
@@ -451,42 +397,40 @@ SloReport evaluate_slos(const std::vector<SloSpec>& specs,
   return report;
 }
 
-std::string slo_to_json(const SloReport& report) {
-  std::ostringstream os;
-  os << "{\"objectives\":[";
-  bool first = true;
-  for (const SloOutcome& o : report.objectives) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"spec\":\"" << json_escape(o.spec.text) << "\","
-       << "\"metric\":\"" << slo_metric_name(o.spec.metric) << "\","
-       << "\"scope\":\"" << slo_scope_name(o.spec.scope) << "\","
-       << "\"threshold\":";
-    format_double(os, o.spec.threshold);
-    os << ",\"threshold_in_windows\":"
-       << (o.spec.threshold_in_windows ? "true" : "false")
-       << ",\"span\":" << o.spec.span << ",\"budget\":";
-    format_double(os, o.spec.budget);
-    os << ",\"points\":" << o.points << ",\"violations\":" << o.violations
-       << ",\"worst_window\":" << o.worst_window << ",\"worst_value\":";
-    format_double(os, o.worst_value);
-    os << ",\"budget_remaining\":";
-    format_double(os, o.budget_remaining);
-    os << ",\"met\":" << (o.met ? "true" : "false") << ",\"alerts\":[";
-    bool first_alert = true;
+void SloReport::write_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("objectives");
+  w.begin_array();
+  for (const SloOutcome& o : objectives) {
+    w.begin_object();
+    w.field("spec", o.spec.text);
+    w.field("metric", slo_metric_name(o.spec.metric));
+    w.field("scope", slo_scope_name(o.spec.scope));
+    w.field("threshold", o.spec.threshold);
+    w.field("threshold_in_windows", o.spec.threshold_in_windows);
+    w.field("span", o.spec.span);
+    w.field("budget", o.spec.budget);
+    w.field("points", o.points);
+    w.field("violations", o.violations);
+    w.field("worst_window", o.worst_window);
+    w.field("worst_value", o.worst_value);
+    w.field("budget_remaining", o.budget_remaining);
+    w.field("met", o.met);
+    w.key("alerts");
+    w.begin_array();
     for (const SloAlert& a : o.alerts) {
-      if (!first_alert) os << ',';
-      first_alert = false;
-      os << "{\"window\":" << a.window << ",\"fast_burn\":";
-      format_double(os, a.fast_burn);
-      os << ",\"slow_burn\":";
-      format_double(os, a.slow_burn);
-      os << '}';
+      w.begin_object();
+      w.field("window", a.window);
+      w.field("fast_burn", a.fast_burn);
+      w.field("slow_burn", a.slow_burn);
+      w.end_object();
     }
-    os << "]}";
+    w.end_array();
+    w.end_object();
   }
-  os << "],\"all_met\":" << (report.all_met() ? "true" : "false") << '}';
-  return os.str();
+  w.end_array();
+  w.field("all_met", all_met());
+  w.end_object();
 }
 
 std::string slo_summary(const SloReport& report) {
@@ -495,13 +439,13 @@ std::string slo_summary(const SloReport& report) {
     os << "slo " << o.spec.text << ": points=" << o.points
        << " violations=" << o.violations;
     if (o.worst_window >= 0) {
-      os << " worst_window=" << o.worst_window << " worst_value=";
-      format_double(os, o.worst_value);
+      os << " worst_window=" << o.worst_window
+         << " worst_value=" << util::JsonWriter::number(o.worst_value);
     }
-    os << " budget_remaining=";
-    format_double(os, o.budget_remaining);
-    os << " alerts=" << o.alerts.size() << ' '
-       << (o.met ? "MET" : "MISSED") << "\n";
+    os << " budget_remaining="
+       << util::JsonWriter::number(o.budget_remaining)
+       << " alerts=" << o.alerts.size() << ' ' << (o.met ? "MET" : "MISSED")
+       << "\n";
   }
   return os.str();
 }

@@ -103,6 +103,9 @@ struct SloOutcome {
 struct SloReport {
   std::vector<SloOutcome> objectives;
   bool all_met() const;
+
+  /// Writes the JSON object for the report's "slo" section.
+  void write_json(util::JsonWriter& w) const;
 };
 
 /// Everything evaluation reads besides the specs.  `reference_window`
@@ -118,9 +121,6 @@ struct SloInputs {
 /// Evaluates every spec against the inputs.  Pure function.
 SloReport evaluate_slos(const std::vector<SloSpec>& specs,
                         const SloInputs& inputs);
-
-/// JSON object for the report's "slo" section.
-std::string slo_to_json(const SloReport& report);
 
 /// Text-summary lines, one per objective.
 std::string slo_summary(const SloReport& report);

@@ -38,26 +38,27 @@ long long TimeSeries::last_window() const {
   return last;
 }
 
-std::string TimeSeries::to_json() const {
-  std::ostringstream os;
-  os << "{\"window\":" << window << ",\"tracks\":{";
-  bool first_track = true;
+void TimeSeries::write_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.field("window", window);
+  w.key("tracks");
+  w.begin_object();
   for (const auto& [name, track] : tracks) {
-    if (!first_track) os << ',';
-    first_track = false;
-    os << '"' << name << "\":[";
-    bool first_window = true;
-    for (const auto& [w, h] : track) {
-      if (!first_window) os << ',';
-      first_window = false;
-      os << '[' << w << ',' << h.count() << ',' << h.sum() << ','
-         << h.min() << ',' << h.max() << ',' << h.percentile(0.50) << ','
-         << h.percentile(0.95) << ',' << h.percentile(0.99) << ']';
+    w.key(name);
+    w.begin_array();
+    for (const auto& [index, h] : track) {
+      w.begin_array();
+      for (const long long v :
+           {index, h.count(), h.sum(), h.min(), h.max(), h.percentile(0.50),
+            h.percentile(0.95), h.percentile(0.99)}) {
+        w.value(v);
+      }
+      w.end_array();
     }
-    os << ']';
+    w.end_array();
   }
-  os << "}}";
-  return os.str();
+  w.end_object();
+  w.end_object();
 }
 
 std::string TimeSeries::summary() const {

@@ -24,6 +24,7 @@
 
 #include "obs/metrics.h"
 #include "rt/types.h"
+#include "util/json.h"
 
 namespace qosctrl::obs {
 
@@ -108,9 +109,9 @@ struct TimeSeries {
   /// Largest window index present across all tracks; -1 when empty.
   long long last_window() const;
 
-  /// JSON object: {"window":W,"tracks":{name:[[w,count,sum,min,max,
-  /// p50,p95,p99],...]}}.  Pure function of the contents.
-  std::string to_json() const;
+  /// Writes the JSON object {"window":W,"tracks":{name:[[w,count,sum,
+  /// min,max,p50,p95,p99],...]}}.  Pure function of the contents.
+  void write_json(util::JsonWriter& w) const;
 
   /// One line per track for the text summary:
   /// "series <name>: windows=K count=N".

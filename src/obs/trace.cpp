@@ -1,10 +1,11 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <sstream>
+#include <utility>
 
 #include "encoder/body.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace qosctrl::obs {
 
@@ -87,196 +88,148 @@ std::vector<TraceEvent> TraceRecorder::merged() const {
 
 namespace {
 
-const char* outcome_name(std::uint32_t aux) {
-  switch (static_cast<CompleteOutcome>(aux)) {
-    case CompleteOutcome::kDelivered:
-      return "delivered";
-    case CompleteOutcome::kLost:
-      return "lost";
-    case CompleteOutcome::kAborted:
-      return "aborted";
+/// Export names of the CompleteOutcome and ConcealReason values.
+constexpr const char* kOutcomeNames[] = {"delivered", "lost", "aborted"};
+constexpr const char* kConcealReasonNames[] = {
+    "queued_outage", "suspended_outage", "arrival_outage", "quarantine_drop"};
+
+template <std::size_t N>
+const char* name_of(const char* const (&names)[N], std::uint32_t aux) {
+  return aux < N ? names[aux] : "?";
+}
+
+/// One Chrome trace event before it is written: phase, name, up to two
+/// numeric args, then an optional text arg.  ph 0 = not exported.
+struct ChromeEvent {
+  char ph = 0;
+  std::string name;
+  std::pair<const char*, long long> nums[2] = {};
+  const char* text_key = nullptr;
+  const char* text = nullptr;
+};
+
+ChromeEvent describe(const TraceEvent& e) {
+  // Frame events are named "s<stream>/f<frame>" so a stream's service
+  // segments line up under one label per frame.
+  const std::string frame =
+      's' + std::to_string(e.stream) + "/f" + std::to_string(e.frame);
+  const std::string stream = " s" + std::to_string(e.stream);
+  const std::string cpu = "/cpu" + std::to_string(e.cpu);
+  switch (static_cast<EventKind>(e.kind)) {
+    case EventKind::kDispatch:
+      return {'B', frame, {{"deadline", e.arg}}};
+    case EventKind::kResume:
+      return {'B', frame, {{"remaining", e.arg}}};
+    case EventKind::kPreempt:
+      return {'E', frame, {{"remaining", e.arg}}};
+    case EventKind::kComplete:
+      return {'E', frame, {{"cycles", e.arg}}, "outcome",
+              name_of(kOutcomeNames, e.aux)};
+    case EventKind::kConcealService:
+      return {'E', frame, {{"cycles", e.arg}}, "outcome", "concealed"};
+    case EventKind::kDeadlineMiss:
+      return {'i', "deadline_miss " + frame, {{"lateness", e.arg}}};
+    case EventKind::kEpochClose:
+      return {'i', "epoch_close" + stream, {{"budget", e.arg}}};
+    case EventKind::kEpochOpen:
+      return {'i', "epoch_open" + stream, {{"budget", e.arg}}};
+    case EventKind::kAdmit:
+      return {'i', "admit" + stream, {{"budget", e.arg}, {"processor", e.aux}}};
+    case EventKind::kReject:
+      return {'i', "reject" + stream};
+    case EventKind::kRenegotiate:
+      return {'i', "renegotiate" + stream, {{"budget", e.arg}}};
+    case EventKind::kRestore:
+      return {'i', "restore" + stream, {{"budget", e.arg}}};
+    case EventKind::kMigrate:
+      return {'i', "migrate" + stream, {{"processor", e.aux}}};
+    case EventKind::kFailover:
+      return {'i', "failover" + stream,
+              {{"processor", e.aux}, {"budget", e.arg}}};
+    case EventKind::kFailoverDrop:
+      return {'i', "failover_drop" + stream};
+    case EventKind::kProcFail:
+      return {'i', "processor_fail", {{"permanent", e.aux}}};
+    case EventKind::kProcRepair:
+      return {'i', "processor_repair"};
+    case EventKind::kFaultInject:
+      return {'i', "overrun " + frame, {{"demand", e.arg}}};
+    case EventKind::kConceal:
+      return {'i', "conceal " + frame, {}, "reason",
+              name_of(kConcealReasonNames, e.aux)};
+    case EventKind::kQuarantine:
+      return {'i', "quarantine" + stream, {{"until", e.arg}}};
+    case EventKind::kQueueDepth:
+      return {'C', "queue_depth" + cpu, {{"frames", e.arg}}};
+    case EventKind::kPhaseCycles:
+      return {'C',
+              std::string("phase_") +
+                  enc::encode_phase_name(static_cast<enc::EncodePhase>(e.aux)) +
+                  cpu,
+              {{"cycles", e.arg}}};
+    case EventKind::kJoinBatch:
+      return {'i', "join_batch", {{"joins", e.arg}}};
+    case EventKind::kRebalance:
+      return {'i', "rebalance" + stream,
+              {{"processor", e.arg}, {"shard", e.aux}}};
+    case EventKind::kSloAlert:
+      return {'i', "slo_alert", {{"window", e.arg}, {"objective", e.aux}}};
+    case EventKind::kNone:
+      break;
   }
-  return "?";
-}
-
-const char* conceal_reason_name(std::uint32_t aux) {
-  switch (static_cast<ConcealReason>(aux)) {
-    case ConcealReason::kQueuedOutage:
-      return "queued_outage";
-    case ConcealReason::kSuspendedOutage:
-      return "suspended_outage";
-    case ConcealReason::kArrivalOutage:
-      return "arrival_outage";
-    case ConcealReason::kQuarantineDrop:
-      return "quarantine_drop";
-  }
-  return "?";
-}
-
-/// Emits one complete Chrome trace-event object.  `frame_name` events
-/// are named "s<stream>/f<frame>" so a stream's service segments line
-/// up under one label per frame.
-void emit(std::ostringstream& os, bool* first, const TraceEvent& e,
-          const char* ph, const std::string& name,
-          const std::string& args) {
-  os << (*first ? "\n" : ",\n") << "{\"name\":\"" << name << "\",\"ph\":\""
-     << ph << "\",\"ts\":" << e.time << ",\"pid\":0,\"tid\":" << e.cpu;
-  if (ph[0] == 'i') os << ",\"s\":\"t\"";
-  if (!args.empty()) os << ",\"args\":{" << args << "}";
-  os << "}";
-  *first = false;
-}
-
-std::string frame_label(const TraceEvent& e) {
-  std::ostringstream os;
-  os << 's' << e.stream << "/f" << e.frame;
-  return os.str();
-}
-
-std::string stream_label(const char* what, const TraceEvent& e) {
-  std::ostringstream os;
-  os << what << " s" << e.stream;
-  return os.str();
-}
-
-std::string one_arg(const char* key, long long v) {
-  std::ostringstream os;
-  os << '"' << key << "\":" << v;
-  return os.str();
+  return {};
 }
 
 }  // namespace
 
 std::string export_chrome_trace(const std::vector<TraceEvent>& events,
                                 int num_processors) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("traceEvents");
+  w.begin_array();
   // Timeline row names: one per virtual processor, one control plane.
   for (int t = 0; t <= num_processors; ++t) {
-    os << (first ? "\n" : ",\n")
-       << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << t
-       << ",\"args\":{\"name\":\""
-       << (t < num_processors ? "cpu " + std::to_string(t)
-                              : std::string("control-plane"))
-       << "\"}}";
-    first = false;
+    w.newline();
+    w.begin_object();
+    w.field("name", "thread_name");
+    w.field("ph", "M");
+    w.field("pid", 0);
+    w.field("tid", t);
+    w.key("args");
+    w.begin_object();
+    w.field("name", t < num_processors ? "cpu " + std::to_string(t)
+                                       : std::string("control-plane"));
+    w.end_object();
+    w.end_object();
   }
   for (const TraceEvent& e : events) {
-    std::ostringstream args;
-    switch (static_cast<EventKind>(e.kind)) {
-      case EventKind::kDispatch:
-        emit(os, &first, e, "B", frame_label(e),
-             one_arg("deadline", e.arg));
-        break;
-      case EventKind::kResume:
-        emit(os, &first, e, "B", frame_label(e),
-             one_arg("remaining", e.arg));
-        break;
-      case EventKind::kPreempt:
-        emit(os, &first, e, "E", frame_label(e),
-             one_arg("remaining", e.arg));
-        break;
-      case EventKind::kComplete:
-        args << one_arg("cycles", e.arg) << ",\"outcome\":\""
-             << outcome_name(e.aux) << '"';
-        emit(os, &first, e, "E", frame_label(e), args.str());
-        break;
-      case EventKind::kConcealService:
-        args << one_arg("cycles", e.arg) << ",\"outcome\":\"concealed\"";
-        emit(os, &first, e, "E", frame_label(e), args.str());
-        break;
-      case EventKind::kDeadlineMiss:
-        emit(os, &first, e, "i", "deadline_miss " + frame_label(e),
-             one_arg("lateness", e.arg));
-        break;
-      case EventKind::kEpochClose:
-        emit(os, &first, e, "i", stream_label("epoch_close", e),
-             one_arg("budget", e.arg));
-        break;
-      case EventKind::kEpochOpen:
-        emit(os, &first, e, "i", stream_label("epoch_open", e),
-             one_arg("budget", e.arg));
-        break;
-      case EventKind::kAdmit:
-        args << one_arg("budget", e.arg) << ','
-             << one_arg("processor", e.aux);
-        emit(os, &first, e, "i", stream_label("admit", e), args.str());
-        break;
-      case EventKind::kReject:
-        emit(os, &first, e, "i", stream_label("reject", e), "");
-        break;
-      case EventKind::kRenegotiate:
-        emit(os, &first, e, "i", stream_label("renegotiate", e),
-             one_arg("budget", e.arg));
-        break;
-      case EventKind::kRestore:
-        emit(os, &first, e, "i", stream_label("restore", e),
-             one_arg("budget", e.arg));
-        break;
-      case EventKind::kMigrate:
-        emit(os, &first, e, "i", stream_label("migrate", e),
-             one_arg("processor", e.aux));
-        break;
-      case EventKind::kFailover:
-        args << one_arg("processor", e.aux) << ','
-             << one_arg("budget", e.arg);
-        emit(os, &first, e, "i", stream_label("failover", e), args.str());
-        break;
-      case EventKind::kFailoverDrop:
-        emit(os, &first, e, "i", stream_label("failover_drop", e), "");
-        break;
-      case EventKind::kProcFail:
-        emit(os, &first, e, "i", "processor_fail",
-             one_arg("permanent", e.aux));
-        break;
-      case EventKind::kProcRepair:
-        emit(os, &first, e, "i", "processor_repair", "");
-        break;
-      case EventKind::kFaultInject:
-        emit(os, &first, e, "i", "overrun " + frame_label(e),
-             one_arg("demand", e.arg));
-        break;
-      case EventKind::kConceal:
-        args << "\"reason\":\"" << conceal_reason_name(e.aux) << '"';
-        emit(os, &first, e, "i", "conceal " + frame_label(e), args.str());
-        break;
-      case EventKind::kQuarantine:
-        emit(os, &first, e, "i", stream_label("quarantine", e),
-             one_arg("until", e.arg));
-        break;
-      case EventKind::kQueueDepth:
-        emit(os, &first, e, "C",
-             "queue_depth/cpu" + std::to_string(e.cpu),
-             one_arg("frames", e.arg));
-        break;
-      case EventKind::kPhaseCycles:
-        emit(os, &first, e, "C",
-             std::string("phase_") +
-                 enc::encode_phase_name(
-                     static_cast<enc::EncodePhase>(e.aux)) +
-                 "/cpu" + std::to_string(e.cpu),
-             one_arg("cycles", e.arg));
-        break;
-      case EventKind::kJoinBatch:
-        emit(os, &first, e, "i", "join_batch", one_arg("joins", e.arg));
-        break;
-      case EventKind::kRebalance:
-        args << one_arg("processor", e.arg) << ','
-             << one_arg("shard", e.aux);
-        emit(os, &first, e, "i", stream_label("rebalance", e), args.str());
-        break;
-      case EventKind::kSloAlert:
-        args << one_arg("window", e.arg) << ','
-             << one_arg("objective", e.aux);
-        emit(os, &first, e, "i", "slo_alert", args.str());
-        break;
-      case EventKind::kNone:
-        break;
+    const ChromeEvent c = describe(e);
+    if (c.ph == 0) continue;
+    w.newline();
+    w.begin_object();
+    w.field("name", c.name);
+    w.field("ph", std::string_view(&c.ph, 1));
+    w.field("ts", e.time);
+    w.field("pid", 0);
+    w.field("tid", e.cpu);
+    if (c.ph == 'i') w.field("s", "t");
+    if (c.nums[0].first != nullptr || c.text_key != nullptr) {
+      w.key("args");
+      w.begin_object();
+      for (const auto& [key, v] : c.nums) {
+        if (key != nullptr) w.field(key, v);
+      }
+      if (c.text_key != nullptr) w.field(c.text_key, c.text);
+      w.end_object();
     }
+    w.end_object();
   }
-  os << "\n]}\n";
-  return os.str();
+  w.newline();
+  w.end_array();
+  w.end_object();
+  w.newline();
+  return w.take();
 }
 
 }  // namespace qosctrl::obs

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -51,54 +52,133 @@ const JsonValue* JsonValue::find(const std::string& key,
   return (v != nullptr && v->kind() == kind) ? v : nullptr;
 }
 
-JsonValue JsonValue::make_null() { return JsonValue{}; }
-
-JsonValue JsonValue::make_bool(bool b) {
-  JsonValue v;
-  v.kind_ = JsonKind::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::make_number(double d) {
-  JsonValue v;
-  v.kind_ = JsonKind::kNumber;
-  v.number_ = d;
-  return v;
-}
-
-JsonValue JsonValue::make_string(std::string s) {
-  JsonValue v;
-  v.kind_ = JsonKind::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::make_array(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.kind_ = JsonKind::kArray;
-  v.items_ = std::move(items);
-  return v;
-}
-
-JsonValue JsonValue::make_object(
-    std::vector<std::pair<std::string, JsonValue>> members) {
-  JsonValue v;
-  v.kind_ = JsonKind::kObject;
-  v.members_ = std::move(members);
-  return v;
-}
-
 namespace {
+
+/// Writes `d` in the one JSON number format into [buf, end).
+char* format_number(double d, char* buf, char* end) {
+  QC_EXPECT(std::isfinite(d), "JSON numbers must be finite");
+  if (std::abs(d) < 0x1p63 && d == std::trunc(d)) {
+    return std::to_chars(buf, end, static_cast<long long>(d)).ptr;
+  }
+  return std::to_chars(buf, end, d, std::chars_format::general, 17).ptr;
+}
+
+}  // namespace
+
+void JsonWriter::separate(bool is_key) {
+  if (after_key_ && !is_key) {
+    after_key_ = false;
+    return;
+  }
+  QC_EXPECT(!after_key_ && (open_.empty() ? empty_ && !is_key
+                                          : open_.back() == is_key),
+            "JSON key or value out of place");
+  if (!empty_) out_ += ',';
+  if (newline_) out_ += '\n';
+  newline_ = false;
+  empty_ = false;
+}
+
+void JsonWriter::open(char bracket) {
+  separate(false);
+  out_ += bracket;
+  open_.push_back(bracket == '{');
+  empty_ = true;
+}
+
+void JsonWriter::close(char bracket) {
+  QC_EXPECT(!open_.empty() && open_.back() == (bracket == '}') && !after_key_,
+            "JSON close does not match the open container");
+  if (newline_) out_ += '\n';
+  newline_ = false;
+  out_ += bracket;
+  open_.pop_back();
+  empty_ = false;
+}
+
+void JsonWriter::key(std::string_view k) {
+  separate(true);
+  string(k);
+  out_ += ':';
+  after_key_ = true;
+}
+
+void JsonWriter::string(std::string_view s) {
+  out_ += '"';
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out_ += '\\';
+      out_ += c;
+    } else if (c == '\n') {
+      out_ += "\\n";
+    } else if (c == '\t') {
+      out_ += "\\t";
+    } else if (u < 0x20) {
+      out_ += "\\u00";
+      out_ += "0123456789abcdef"[u >> 4];
+      out_ += "0123456789abcdef"[u & 0xf];
+    } else {
+      out_ += c;
+    }
+  }
+  out_ += '"';
+}
+
+void JsonWriter::value(std::string_view s) {
+  separate(false);
+  string(s);
+}
+
+void JsonWriter::value(bool b) {
+  separate(false);
+  out_ += b ? "true" : "false";
+}
+
+void JsonWriter::value(double d) {
+  separate(false);
+  char buf[32];
+  out_.append(buf, format_number(d, buf, buf + sizeof buf));
+}
+
+template <class Int>
+void JsonWriter::integer(Int v) {
+  separate(false);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+template void JsonWriter::integer(long long);
+template void JsonWriter::integer(unsigned long long);
+
+void JsonWriter::newline() {
+  if (open_.empty() && !empty_) {
+    out_ += '\n';  // the document is complete
+  } else {
+    newline_ = true;
+  }
+}
+
+std::string JsonWriter::take() {
+  QC_EXPECT(open_.empty() && !empty_, "JSON document is incomplete");
+  std::string out = std::move(out_);
+  *this = JsonWriter{};
+  return out;
+}
+
+std::string JsonWriter::number(double d) {
+  char buf[32];
+  return std::string(buf, format_number(d, buf, buf + sizeof buf));
+}
 
 // Recursive-descent parser over the raw text.  Depth is bounded so a
 // pathological input can't blow the stack.
-class Parser {
+class JsonParser {
  public:
-  Parser(const std::string& text, std::string* error)
+  JsonParser(const std::string& text, std::string* error)
       : text_(text), error_(error) {}
 
   bool parse_document(JsonValue* out) {
+    *out = JsonValue{};
     skip_ws();
     if (!parse_value(out, 0)) return false;
     skip_ws();
@@ -143,18 +223,18 @@ class Parser {
     switch (peek()) {
       case 'n':
         if (!consume_literal("null")) return fail("bad literal");
-        *out = JsonValue::make_null();
         return true;
       case 't':
-        if (!consume_literal("true")) return fail("bad literal");
-        *out = JsonValue::make_bool(true);
-        return true;
       case 'f':
-        if (!consume_literal("false")) return fail("bad literal");
-        *out = JsonValue::make_bool(false);
+        out->kind_ = JsonKind::kBool;
+        out->bool_ = peek() == 't';
+        if (!consume_literal(out->bool_ ? "true" : "false")) {
+          return fail("bad literal");
+        }
         return true;
       case '"':
-        return parse_string_value(out);
+        out->kind_ = JsonKind::kString;
+        return parse_string(&out->string_);
       case '[':
         return parse_array(out, depth);
       case '{':
@@ -186,7 +266,8 @@ class Parser {
     const std::string token = text_.substr(start, pos_ - start);
     const double d = std::strtod(token.c_str(), nullptr);
     if (!std::isfinite(d)) return fail("number out of range");
-    *out = JsonValue::make_number(d);
+    out->kind_ = JsonKind::kNumber;
+    out->number_ = d;
     return true;
   }
 
@@ -276,26 +357,16 @@ class Parser {
     }
   }
 
-  bool parse_string_value(JsonValue* out) {
-    std::string s;
-    if (!parse_string(&s)) return false;
-    *out = JsonValue::make_string(std::move(s));
-    return true;
-  }
-
   bool parse_array(JsonValue* out, int depth) {
     ++pos_;  // '['
-    std::vector<JsonValue> items;
+    out->kind_ = JsonKind::kArray;
     skip_ws();
     if (!at_end() && peek() == ']') {
       ++pos_;
-      *out = JsonValue::make_array(std::move(items));
       return true;
     }
     while (true) {
-      JsonValue item;
-      if (!parse_value(&item, depth + 1)) return false;
-      items.push_back(std::move(item));
+      if (!parse_value(&out->items_.emplace_back(), depth + 1)) return false;
       skip_ws();
       if (at_end()) return fail("unterminated array");
       const char c = text_[pos_++];
@@ -303,29 +374,25 @@ class Parser {
       if (c != ',') return fail("expected ',' or ']'");
       skip_ws();
     }
-    *out = JsonValue::make_array(std::move(items));
     return true;
   }
 
   bool parse_object(JsonValue* out, int depth) {
     ++pos_;  // '{'
-    std::vector<std::pair<std::string, JsonValue>> members;
+    out->kind_ = JsonKind::kObject;
     skip_ws();
     if (!at_end() && peek() == '}') {
       ++pos_;
-      *out = JsonValue::make_object(std::move(members));
       return true;
     }
     while (true) {
       if (at_end() || peek() != '"') return fail("expected object key");
-      std::string key;
+      auto& [key, item] = out->members_.emplace_back();
       if (!parse_string(&key)) return false;
       skip_ws();
       if (at_end() || text_[pos_++] != ':') return fail("expected ':'");
       skip_ws();
-      JsonValue item;
       if (!parse_value(&item, depth + 1)) return false;
-      members.emplace_back(std::move(key), std::move(item));
       skip_ws();
       if (at_end()) return fail("unterminated object");
       const char c = text_[pos_++];
@@ -333,7 +400,6 @@ class Parser {
       if (c != ',') return fail("expected ',' or '}'");
       skip_ws();
     }
-    *out = JsonValue::make_object(std::move(members));
     return true;
   }
 
@@ -342,11 +408,9 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
 bool parse_json(const std::string& text, JsonValue* out, std::string* error) {
   std::string scratch;
-  Parser parser(text, error != nullptr ? error : &scratch);
+  JsonParser parser(text, error != nullptr ? error : &scratch);
   return parser.parse_document(out);
 }
 

@@ -26,6 +26,7 @@
 #include "farm/load_gen.h"
 #include "farm/metrics.h"
 #include "farm/simulator.h"
+#include "obs/json_of.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "platform/cost_model.h"
@@ -186,8 +187,9 @@ TEST(GoldenOutputs, DigestsArePinned) {
     EXPECT_EQ(fnv1a(obs::export_chrome_trace(r.trace, g.num_processors)),
               g.trace)
         << g.name << " trace";
-    EXPECT_EQ(fnv1a(r.metrics.to_json()), g.metrics) << g.name << " metrics";
-    EXPECT_EQ(fnv1a(r.series.to_json()), g.series) << g.name << " series";
+    EXPECT_EQ(fnv1a(obs::json_of(r.metrics)), g.metrics)
+        << g.name << " metrics";
+    EXPECT_EQ(fnv1a(obs::json_of(r.series)), g.series) << g.name << " series";
     EXPECT_EQ(fnv1a(report_without_provenance(r)), g.report)
         << g.name << " report";
     EXPECT_EQ(fnv1a(to_csv(r)), g.csv) << g.name << " csv";

@@ -12,6 +12,7 @@
 #include "farm/metrics.h"
 #include "farm/presets.h"
 #include "farm/simulator.h"
+#include "obs/json_of.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 
@@ -65,14 +66,14 @@ std::string shard_independent_json(const obs::TimeSeries& series) {
       filtered.tracks[name] = track;
     }
   }
-  return filtered.to_json();
+  return obs::json_of(filtered);
 }
 
 TEST(TimeseriesDeterminismTest, SeriesAndVerdictsInvariantAcrossCombos) {
   const FarmScenario sc = small_flash_crowd();
   const FarmResult baseline = run_combo(sc, 1, 1);
   const std::string series_json = shard_independent_json(baseline.series);
-  const std::string slo_json = obs::slo_to_json(baseline.slo);
+  const std::string slo_json = obs::json_of(baseline.slo);
   ASSERT_GT(baseline.series.last_window(), 0);
   ASSERT_EQ(baseline.slo.objectives.size(), 5u);
 
@@ -84,13 +85,13 @@ TEST(TimeseriesDeterminismTest, SeriesAndVerdictsInvariantAcrossCombos) {
       EXPECT_EQ(shard_independent_json(run.series), series_json)
           << "series diverged at workers=" << workers
           << " shards=" << shards;
-      EXPECT_EQ(obs::slo_to_json(run.slo), slo_json)
+      EXPECT_EQ(obs::json_of(run.slo), slo_json)
           << "slo diverged at workers=" << workers << " shards=" << shards;
     }
     // With the shard topology fixed, the per-shard control tracks pin
     // byte for byte across workers too.
-    EXPECT_EQ(run_combo(sc, workers, 4).series.to_json(),
-              run_combo(sc, 1, 4).series.to_json())
+    EXPECT_EQ(obs::json_of(run_combo(sc, workers, 4).series),
+              obs::json_of(run_combo(sc, 1, 4).series))
         << "sharded series diverged at workers=" << workers;
   }
 }

@@ -13,6 +13,7 @@
 #include "farm/load_gen.h"
 #include "farm/metrics.h"
 #include "farm/simulator.h"
+#include "obs/json_of.h"
 #include "obs/trace.h"
 #include "platform/cost_model.h"
 #include "sched/policy.h"
@@ -61,7 +62,7 @@ TracedRun run_traced(sched::PolicyKind policy, bool faults, int workers) {
   const FarmResult r = run_farm(traced_scenario(policy, faults), cfg);
   TracedRun out;
   out.chrome = obs::export_chrome_trace(r.trace, cfg.num_processors);
-  out.metrics_json = r.metrics.to_json();
+  out.metrics_json = obs::json_of(r.metrics);
   out.dropped = r.trace_dropped;
   out.events = r.trace.size();
   return out;
@@ -109,7 +110,7 @@ TEST(TraceDeterminism, TracingDoesNotChangeTheSimulation) {
   const FarmResult r_on = run_farm(sc, on);
   EXPECT_EQ(r_off.encoded_frames, r_on.encoded_frames);
   EXPECT_EQ(r_off.total_display_misses, r_on.total_display_misses);
-  EXPECT_EQ(r_off.metrics.to_json(), r_on.metrics.to_json());
+  EXPECT_EQ(obs::json_of(r_off.metrics), obs::json_of(r_on.metrics));
   EXPECT_TRUE(r_off.trace.empty());
   EXPECT_FALSE(r_on.trace.empty());
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_of.h"
 #include "util/rng.h"
 
 namespace qosctrl::obs {
@@ -159,7 +160,7 @@ TEST(Registry, CountersAndMergeAndJson) {
   EXPECT_EQ(a.counters().at("drops"), 1);
   EXPECT_EQ(a.histograms().at("lat").count(), 2);
 
-  const std::string json = a.to_json();
+  const std::string json = json_of(a);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"drops\":1"), std::string::npos);
   EXPECT_NE(json.find("\"frames\":5"), std::string::npos);
@@ -174,7 +175,7 @@ TEST(Registry, CountersAndMergeAndJson) {
   c.histogram("lat").record(100);
   c.counter("drops") += 1;
   c.counter("frames") += 5;
-  EXPECT_EQ(c.to_json(), json);
+  EXPECT_EQ(json_of(c), json);
   EXPECT_EQ(c.summary(), a.summary());
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_of.h"
 #include "obs/timeseries.h"
 #include "util/json.h"
 
@@ -77,6 +78,19 @@ TEST(SloParseTest, RejectsMalformedSpecs) {
   EXPECT_NE(parse_error("queue_p99<8:controlled"), "");    // fleet-only
   EXPECT_NE(parse_error("recovery_latency<5w:constant"), "");
   EXPECT_NE(parse_error("recovery_latency<5w@50ms"), "");  // no span
+}
+
+// JSON has no token for a non-finite number, so a threshold or budget
+// that strtod reads as inf or NaN is a parse error, not a report value.
+TEST(SloParseTest, RejectsNonFiniteNumbers) {
+  EXPECT_NE(parse_error("queue_p99<=inf"), "");
+  EXPECT_NE(parse_error("queue_p99<=INFINITY"), "");
+  EXPECT_NE(parse_error("queue_p99<=1e999"), "");   // overflows to inf
+  EXPECT_NE(parse_error("latency_p99<1e999w"), "");
+  EXPECT_NE(parse_error("recovery_latency<inf"), "");
+  EXPECT_NE(parse_error("queue_p99<=nan"), "");
+  EXPECT_NE(parse_error("miss_rate<=0.1%nan"), "");  // budget
+  EXPECT_EQ(parse_ok("queue_p99<=1e300").threshold, 1e300);
 }
 
 /// A series whose fleet latency track holds ten samples of `good`
@@ -255,7 +269,7 @@ TEST(SloReportTest, JsonAndSummaryShapeIsPinned) {
   in.recovery_latencies = {100};
   const SloReport report =
       evaluate_slos({parse_ok("recovery_latency<200")}, in);
-  EXPECT_EQ(slo_to_json(report),
+  EXPECT_EQ(json_of(report),
             "{\"objectives\":[{\"spec\":\"recovery_latency<200\","
             "\"metric\":\"recovery_latency\",\"scope\":\"fleet\","
             "\"threshold\":200,\"threshold_in_windows\":false,\"span\":0,"
@@ -280,7 +294,7 @@ TEST(SloReportTest, ControlCharactersInSpecsStayValidJson) {
 
   util::JsonValue doc;
   std::string error;
-  ASSERT_TRUE(util::parse_json(slo_to_json(report), &doc, &error)) << error;
+  ASSERT_TRUE(util::parse_json(json_of(report), &doc, &error)) << error;
   const util::JsonValue* objectives =
       doc.find("objectives", util::JsonKind::kArray);
   ASSERT_NE(objectives, nullptr);

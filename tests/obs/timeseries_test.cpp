@@ -11,6 +11,7 @@
 #include <map>
 #include <vector>
 
+#include "obs/json_of.h"
 #include "util/rng.h"
 
 namespace qosctrl::obs {
@@ -73,7 +74,7 @@ TEST(TimeSeriesTest, MergeIsOrderIndependent) {
   for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
     backward.merge(*it);
   }
-  EXPECT_EQ(forward.to_json(), backward.to_json());
+  EXPECT_EQ(json_of(forward), json_of(backward));
   EXPECT_EQ(forward.window, 50);
   EXPECT_EQ(forward.last_window(), backward.last_window());
 }
@@ -119,7 +120,7 @@ TEST(TimeSeriesTest, MergeAdoptsWindowAndRejectsNothingWhenEmpty) {
   series.merge(rec);  // empty recorder still pins the window width
   EXPECT_EQ(series.window, 25);
   EXPECT_EQ(series.last_window(), -1);
-  EXPECT_EQ(series.to_json(), "{\"window\":25,\"tracks\":{}}");
+  EXPECT_EQ(json_of(series), "{\"window\":25,\"tracks\":{}}");
 }
 
 TEST(TimeSeriesTest, JsonShapeIsPinned) {
@@ -132,7 +133,7 @@ TEST(TimeSeriesTest, JsonShapeIsPinned) {
   series.merge(rec);
   // Window 0 holds {3, 4}: every percentile ranks to
   // floor(p * (count - 1)) = 0, the bucket holding 3 (upper bound 3).
-  EXPECT_EQ(series.to_json(),
+  EXPECT_EQ(json_of(series),
             "{\"window\":10,\"tracks\":{\"lat\":[[0,2,7,3,4,3,3,3],"
             "[2,1,100,100,100,127,127,127]]}}");
   EXPECT_EQ(series.summary(), "series lat: windows=2 count=3\n");

@@ -1,12 +1,26 @@
-// The JSON reader's contract: it round-trips everything the farm's
-// own to_json emits (objects, arrays, strings with escapes, doubles,
-// bools, null), preserves object member order, and rejects the
+// The JSON module's contract, both ways.  The writer round-trips
+// through the reader (random documents: nesting, every ASCII byte,
+// UTF-8, 53-bit integers, finite doubles down to subnormals), prints
+// -0.0 as 0 and refuses non-finite numbers.  The reader reads the
+// farm's own report, preserves object member order, and rejects the
 // malformed inputs strict JSON rejects.
 #include "util/json.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "farm/load_gen.h"
+#include "farm/metrics.h"
+#include "farm/simulator.h"
+#include "obs/slo.h"
+#include "util/rng.h"
 
 namespace qosctrl::util {
 namespace {
@@ -73,14 +87,20 @@ TEST(JsonTest, ArraysAndObjects) {
 }
 
 TEST(JsonTest, ParsesAFarmReportShape) {
-  // The exact nesting qosreport reads: timeseries tracks of number
-  // rows plus the SLO objective array.
+  // The exact nesting qosreport reads, from a real report: timeseries
+  // tracks of number rows plus the SLO objective array.
+  farm::LoadGenConfig load;
+  load.num_streams = 4;
+  load.min_frames = 2;
+  load.max_frames = 3;
+  load.seed = 3;
+  farm::FarmConfig cfg;
+  cfg.num_processors = 2;
+  cfg.ts_window = 4000000;
+  cfg.slos.emplace_back();
+  ASSERT_TRUE(obs::parse_slo("miss_rate<=1", &cfg.slos.back(), nullptr));
   const JsonValue doc = parse_ok(
-      "{\"timeseries\":{\"window\":4000000,\"tracks\":{"
-      "\"frame_latency_cycles\":[[0,2,7,3,4,3,3,3],"
-      "[2,1,100,100,100,127,127,127]]}},"
-      "\"slo\":{\"objectives\":[{\"spec\":\"latency_p99<1.5w@20ms\","
-      "\"met\":true,\"budget_remaining\":1}],\"all_met\":true}}");
+      farm::to_json(farm::run_farm(farm::generate_scenario(load), cfg)));
   const JsonValue* ts = doc.find("timeseries", JsonKind::kObject);
   ASSERT_NE(ts, nullptr);
   EXPECT_EQ(ts->find("window")->as_int(), 4000000);
@@ -88,10 +108,13 @@ TEST(JsonTest, ParsesAFarmReportShape) {
   ASSERT_NE(tracks, nullptr);
   const JsonValue* track = tracks->find("frame_latency_cycles");
   ASSERT_NE(track, nullptr);
-  ASSERT_EQ(track->items().size(), 2u);
-  EXPECT_EQ(track->items()[1].items()[7].as_int(), 127);
+  ASSERT_FALSE(track->items().empty());
+  for (const JsonValue& row : track->items()) {
+    EXPECT_EQ(row.items().size(), 8u);  // [w,count,sum,min,max,p50,p95,p99]
+  }
   const JsonValue* slo = doc.find("slo", JsonKind::kObject);
   ASSERT_NE(slo, nullptr);
+  EXPECT_EQ(slo->find("objectives", JsonKind::kArray)->items().size(), 1u);
   EXPECT_TRUE(slo->find("all_met")->as_bool());
 }
 
@@ -127,6 +150,248 @@ TEST(JsonTest, DepthIsBounded) {
   for (int i = 0; i < 100; ++i) fine += ']';
   JsonValue v;
   EXPECT_TRUE(parse_json(fine, &v, nullptr));
+}
+
+/// A random document: what was written, to compare the parse against.
+/// Arrays keep their elements in `members` with empty keys.  The writer
+/// has no null (no report writes one), so documents hold none.
+struct Doc {
+  JsonKind kind = JsonKind::kNull;
+  bool flag = false;
+  double number = 0.0;
+  bool integer = false;  ///< written through the integral overload
+  std::string text;
+  std::vector<std::pair<std::string, Doc>> members;
+};
+
+/// Bytes 0x01-0x7f plus multi-byte UTF-8 (2-, 3- and 4-byte forms).
+std::string random_string(Rng& rng) {
+  static const char* const kUtf8[] = {"\xc3\xa9", "\xe2\x82\xac",
+                                      "\xf0\x9f\x98\x80"};
+  std::string s;
+  const auto n = rng.uniform_i64(0, 12);
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (rng.chance(0.2)) {
+      s += kUtf8[rng.uniform_i64(0, 2)];
+    } else {
+      s += static_cast<char>(rng.uniform_i64(0x01, 0x7f));
+    }
+  }
+  return s;
+}
+
+/// A finite double: random bit patterns (subnormals included), scaled
+/// integers, decimals, and the extremes.
+double random_double(Rng& rng) {
+  static const double kEdges[] = {
+      1e300, -1e300, 0.1, 5e-324, std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(), 0x1p53, -0x1p53, 0x1p63, -0x1p63,
+      0x1p62 + 1024.0, 1e17, 123456789.25};
+  switch (rng.uniform_i64(0, 4)) {
+    case 0:
+      return kEdges[rng.uniform_i64(0, std::size(kEdges) - 1)];
+    case 1:  // subnormal
+      return std::bit_cast<double>(rng.next_u64() >> 12) *
+             (rng.chance(0.5) ? 1 : -1);
+    case 2:
+      return static_cast<double>(rng.uniform_i64(-1000000, 1000000)) *
+             std::pow(10.0, static_cast<double>(rng.uniform_i64(-8, 8)));
+    default: {
+      double d = 0.0;
+      do {
+        d = std::bit_cast<double>(rng.next_u64());
+      } while (!std::isfinite(d));
+      return d;
+    }
+  }
+}
+
+Doc random_doc(Rng& rng, int depth) {
+  Doc d;
+  const auto pick = rng.uniform_i64(1, depth > 4 ? 4 : 6);
+  switch (pick) {
+    case 1:
+      d.kind = JsonKind::kBool;
+      d.flag = rng.chance(0.5);
+      break;
+    case 2:
+      d.kind = JsonKind::kString;
+      d.text = random_string(rng);
+      break;
+    case 3: {
+      d.kind = JsonKind::kNumber;
+      constexpr std::int64_t k53 = std::int64_t{1} << 53;
+      const std::int64_t edges[] = {k53, -k53, 0, -1};
+      d.number = static_cast<double>(
+          rng.chance(0.3) ? edges[rng.uniform_i64(0, 3)]
+                          : rng.uniform_i64(-k53, k53));
+      d.integer = true;
+      break;
+    }
+    case 4:
+      d.kind = JsonKind::kNumber;
+      d.number = random_double(rng);
+      break;
+    default: {
+      d.kind = pick == 5 ? JsonKind::kArray : JsonKind::kObject;
+      const auto n = rng.uniform_i64(0, 5);  // empty containers included
+      for (std::int64_t i = 0; i < n; ++i) {
+        d.members.emplace_back(
+            d.kind == JsonKind::kObject ? random_string(rng) : "",
+            random_doc(rng, depth + 1));
+      }
+    }
+  }
+  return d;
+}
+
+void write_doc(const Doc& d, JsonWriter& w) {
+  switch (d.kind) {
+    case JsonKind::kNull:
+      break;
+    case JsonKind::kBool:
+      w.value(d.flag);
+      break;
+    case JsonKind::kString:
+      w.value(d.text);
+      break;
+    case JsonKind::kNumber:
+      if (d.integer) {
+        w.value(static_cast<long long>(d.number));
+      } else {
+        w.value(d.number);
+      }
+      break;
+    case JsonKind::kArray:
+    case JsonKind::kObject:
+      d.kind == JsonKind::kArray ? w.begin_array() : w.begin_object();
+      for (const auto& [key, member] : d.members) {
+        if (d.kind == JsonKind::kObject) w.key(key);
+        write_doc(member, w);
+      }
+      d.kind == JsonKind::kArray ? w.end_array() : w.end_object();
+      break;
+  }
+}
+
+void expect_same(const Doc& d, const JsonValue& v) {
+  ASSERT_EQ(v.kind(), d.kind);
+  switch (d.kind) {
+    case JsonKind::kBool:
+      EXPECT_EQ(v.as_bool(), d.flag);
+      break;
+    case JsonKind::kString:
+      EXPECT_EQ(v.as_string(), d.text);
+      break;
+    case JsonKind::kNumber:
+      EXPECT_EQ(v.as_number(), d.number) << std::hexfloat << d.number;
+      break;
+    case JsonKind::kArray:
+      ASSERT_EQ(v.items().size(), d.members.size());
+      for (std::size_t i = 0; i < d.members.size(); ++i) {
+        expect_same(d.members[i].second, v.items()[i]);
+      }
+      break;
+    case JsonKind::kObject:
+      ASSERT_EQ(v.members().size(), d.members.size());
+      for (std::size_t i = 0; i < d.members.size(); ++i) {
+        EXPECT_EQ(v.members()[i].first, d.members[i].first);
+        expect_same(d.members[i].second, v.members()[i].second);
+      }
+      break;
+    case JsonKind::kNull:
+      break;
+  }
+}
+
+TEST(JsonWriterTest, RandomDocumentsRoundTripThroughTheReader) {
+  Rng rng(2026);
+  for (int i = 0; i < 2000; ++i) {
+    const Doc doc = random_doc(rng, 0);
+    JsonWriter w;
+    write_doc(doc, w);
+    const std::string text = w.take();
+    JsonValue back;
+    std::string error;
+    ASSERT_TRUE(parse_json(text, &back, &error)) << error << "\n" << text;
+    expect_same(doc, back);
+  }
+}
+
+TEST(JsonWriterTest, SeparatorsEscapesAndNumbers) {
+  JsonWriter w;
+  w.begin_object();
+  w.field("a", 1);
+  w.key("b");
+  w.begin_array();
+  w.value(-0.0);
+  w.value(0.5);
+  w.value(1e17);
+  w.value(0x1p63);
+  w.value(std::uint64_t{18446744073709551615ULL});
+  w.value(true);
+  w.begin_object();
+  w.end_object();
+  w.end_array();
+  w.field("q\"\\\n\t\x01\x1f\x7f\xc3\xa9", "x");
+  w.end_object();
+  EXPECT_EQ(w.take(),
+            "{\"a\":1,\"b\":[0,0.5,100000000000000000,"
+            "9.2233720368547758e+18,18446744073709551615,true,{}],"
+            "\"q\\\"\\\\\\n\\t\\u0001\\u001f\x7f\xc3\xa9\":\"x\"}");
+  EXPECT_EQ(JsonWriter::number(-0.0), "0");
+  EXPECT_EQ(JsonWriter::number(0.1), "0.10000000000000001");
+  EXPECT_EQ(JsonWriter::number(-0x1p63), "-9.2233720368547758e+18");
+  EXPECT_EQ(JsonWriter::number(std::nextafter(0x1p63, 0.0)),
+            "9223372036854774784");
+}
+
+TEST(JsonWriterTest, NewlineHookBreaksBetweenElements) {
+  JsonWriter w;
+  w.begin_array();
+  w.newline();
+  w.value(1);
+  w.newline();
+  w.value(2);
+  w.newline();
+  w.end_array();
+  w.newline();
+  EXPECT_EQ(w.take(), "[\n1,\n2\n]\n");
+}
+
+TEST(JsonWriterDeathTest, RejectsNonFiniteNumbers) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    JsonWriter w;
+    w.begin_array();
+    EXPECT_DEATH(w.value(bad), "finite");
+    EXPECT_DEATH(JsonWriter::number(bad), "finite");
+  }
+}
+
+TEST(JsonWriterDeathTest, RejectsMisplacedTokens) {
+  {
+    JsonWriter w;
+    w.begin_object();
+    EXPECT_DEATH(w.value(1), "out of place");  // a value needs a key
+  }
+  {
+    JsonWriter w;
+    w.begin_array();
+    EXPECT_DEATH(w.key("k"), "out of place");
+    EXPECT_DEATH(w.end_object(), "does not match");
+  }
+  {
+    JsonWriter w;
+    w.value(1);
+    EXPECT_DEATH(w.value(2), "out of place");  // one root
+  }
+  {
+    JsonWriter w;
+    w.begin_array();
+    EXPECT_DEATH(w.take(), "incomplete");
+  }
 }
 
 }  // namespace

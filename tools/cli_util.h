@@ -3,6 +3,8 @@
 // the library, so this lives next to the mains.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,20 +31,20 @@ inline bool parse_u64(const char* s, std::uint64_t* out) {
   return true;
 }
 
-/// Any finite double (range checks are the caller's).
+/// Any finite double (range checks are the caller's).  NaN and
+/// infinities are rejected here, so no later report has to print one.
 inline bool parse_double(const char* s, double* out) {
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
 
 /// A fraction in [0, 1].
 inline bool parse_fraction(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || v < 0.0 || v > 1.0) return false;
+  double v = 0.0;
+  if (!parse_double(s, &v) || v < 0.0 || v > 1.0) return false;
   *out = v;
   return true;
 }
@@ -61,18 +63,13 @@ inline std::vector<std::string> split_commas(const char* s) {
   return out;
 }
 
-/// Comma-separated positive doubles.
+/// Comma-separated positive finite doubles.
 inline bool parse_double_list(const char* s, std::vector<double>* out) {
   out->clear();
   for (const std::string& item : split_commas(s)) {
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(item, &used);
-      if (used != item.size() || v <= 0.0) return false;
-      out->push_back(v);
-    } catch (...) {
-      return false;
-    }
+    double v = 0.0;
+    if (!parse_double(item.c_str(), &v) || v <= 0.0) return false;
+    out->push_back(v);
   }
   return !out->empty();
 }

@@ -78,7 +78,7 @@ std::string format_number(double v) {
 }
 
 /// One parsed time-series window: [w, count, sum, min, max, p50, p95,
-/// p99] in the JSON array order (obs/timeseries.cpp to_json).
+/// p99] in the JSON array order (obs::TimeSeries::write_json).
 struct WindowPoint {
   long long window = 0;
   double count = 0, sum = 0, min = 0, max = 0, p50 = 0, p95 = 0, p99 = 0;
