@@ -134,11 +134,11 @@ std::string summarize(const FarmResult& r) {
       const ShardOutcome& sh = r.shard_outcomes[s];
       os << "shard " << s << ": procs=[" << sh.first_processor << ","
          << sh.first_processor + sh.num_processors << ")"
-         << " admitted=" << sh.admitted
-         << " probe_admits=" << sh.probe_admits
-         << " rejected=" << sh.rejected
-         << " migrations_in=" << sh.migrations_in
-         << " migrations_out=" << sh.migrations_out
+         << " admitted=" << sh.stats.admitted
+         << " probe_admits=" << sh.stats.probe_admits
+         << " rejected=" << sh.stats.rejected
+         << " migrations_in=" << sh.stats.migrations_in
+         << " migrations_out=" << sh.stats.migrations_out
          << " demand_tests=" << sh.demand_tests
          << " peak_committed=" << sh.peak_committed_utilization << "\n";
     }
@@ -400,11 +400,11 @@ std::string to_json(const FarmResult& r) {
       w.field("shard", s);
       w.field("first_processor", sh.first_processor);
       w.field("num_processors", sh.num_processors);
-      w.field("admitted", sh.admitted);
-      w.field("probe_admits", sh.probe_admits);
-      w.field("rejected", sh.rejected);
-      w.field("migrations_in", sh.migrations_in);
-      w.field("migrations_out", sh.migrations_out);
+      w.field("admitted", sh.stats.admitted);
+      w.field("probe_admits", sh.stats.probe_admits);
+      w.field("rejected", sh.stats.rejected);
+      w.field("migrations_in", sh.stats.migrations_in);
+      w.field("migrations_out", sh.stats.migrations_out);
       w.field("demand_tests", sh.demand_tests);
       w.field("peak_committed_utilization", sh.peak_committed_utilization);
       w.end_object();

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "farm/event_sink.h"
-#include "farm/shard.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -23,13 +22,20 @@ namespace {
 
 constexpr rt::Cycles kNever = std::numeric_limits<rt::Cycles>::max();
 
+/// The rate a stream's camera, rate control and bitrate accounting
+/// run at.  `nominal_fps` is the camera rate at the default pacing; a
+/// stream whose period is scaled by a factor f runs at
+/// nominal_fps / f, so per-stream kbps figures are comparable across
+/// heterogeneous periods.
+double stream_frame_rate(const StreamSpec& spec, double nominal_fps) {
+  return nominal_fps *
+         static_cast<double>(default_frame_period(macroblocks_of(spec))) /
+         static_cast<double>(period_of(spec));
+}
+
 /// The session config a StreamSpec expands to.  Seeds (cost jitter and
 /// video content) are forked from the farm seed by stream id, so the
 /// expansion is a pure function — any worker thread gets the same one.
-/// `nominal_fps` is the camera rate at the default pacing; a stream
-/// whose period is scaled by a factor f runs its camera (and rate
-/// control, and bitrate accounting) at nominal_fps / f, so per-stream
-/// kbps figures are comparable across heterogeneous periods.
 pipe::PipelineConfig stream_pipeline_config(const StreamSpec& spec,
                                             std::uint64_t farm_seed,
                                             double nominal_fps) {
@@ -42,10 +48,7 @@ pipe::PipelineConfig stream_pipeline_config(const StreamSpec& spec,
   cfg.buffer_capacity = spec.buffer_capacity;
   cfg.mode = spec.mode;
   cfg.constant_quality = spec.constant_quality;
-  cfg.rate.frame_rate =
-      nominal_fps *
-      static_cast<double>(default_frame_period(macroblocks_of(spec))) /
-      static_cast<double>(period_of(spec));
+  cfg.rate.frame_rate = stream_frame_rate(spec, nominal_fps);
   util::Rng derive = util::Rng(farm_seed).fork(
       static_cast<std::uint64_t>(spec.id));
   cfg.seed = spec.seed != 0 ? spec.seed : derive.next_u64();
@@ -53,33 +56,21 @@ pipe::PipelineConfig stream_pipeline_config(const StreamSpec& spec,
   return cfg;
 }
 
-/// The budget epoch a fresh placement opens at `from`.
-BudgetEpoch opening_epoch(rt::Cycles from, const Placement& pl) {
-  return BudgetEpoch{from, pl.table_budget, pl.committed_cost, pl.system};
+/// Control-plane order of stream joins: by (join time, id).
+bool joins_before(const StreamSpec& a, const StreamSpec& b) {
+  return std::tie(a.join_time, a.id) < std::tie(b.join_time, b.id);
 }
 
-/// A processor outage interval injected by a FailureEvent: service is
-/// down for t in [start, end) (end = kNever when permanent).  Arrival
-/// concealment tests against these precomputed windows — never against
-/// mutable simulation state — so event ordering at the boundary
-/// instants cannot change what a frame sees.
-struct Window {
-  rt::Cycles start = 0;
-  rt::Cycles end = kNever;
-  bool permanent = false;
-};
+/// The placement serving segment `seg` of a stream (0 = base).
+const Placement& segment_placement(const StreamOutcome& so, std::size_t seg) {
+  return seg == 0 ? so.placement : so.failover[seg - 1].placement;
+}
 
-/// Per-segment tallies the data plane writes and run_farm stitches
-/// into StreamOutcome after the worker pool joins.
-struct SegmentResult {
-  int display_misses = 0;
-  std::vector<rt::Cycles> lags;  ///< start lag of every dispatched frame
-  StreamFaultStats faults;
-  /// First completion of a delivered (non-concealed) frame within its
-  /// display deadline; -1 when the segment never got one.  Recovery
-  /// latency of a failover segment = first_ontime - failure time.
-  rt::Cycles first_ontime = -1;
-};
+/// End of the outage a FailureEvent injects: service is down for t in
+/// [time, outage_end) (kNever when permanent).
+rt::Cycles outage_end(const FailureEvent& ev) {
+  return ev.permanent() ? kNever : ev.time + ev.repair;
+}
 
 /// One frame a C=D split stream's head piece finished and handed to
 /// its tail piece on the (always higher-indexed) tail processor.  The
@@ -100,28 +91,48 @@ struct HandoffEntry {
   pipe::FrameRecord rec{};  ///< the final record the head produced
 };
 
-/// One stream *segment* (base placement, or a failover re-admission)
-/// assigned to a processor's run queue.  Records and tallies point
-/// into per-stream storage owned by run_farm; segments of one stream
-/// cover disjoint frame ranges, so workers never race.  A C=D split
-/// segment contributes *two* assignments — the head (split_head > 0,
-/// handoff_out set) and the tail relay (handoff_in set) — sharing
-/// records and res; the level-ordered worker pool runs the head's
-/// processor to completion before the tail's starts, so the sharing
-/// is sequential.
-struct Assignment {
+/// What the data plane records for one stream segment (the base
+/// placement, or a failover re-admission): the tallies the stitch
+/// folds into StreamOutcome and, for a C=D split segment, the handoff
+/// buffer the head piece writes and the tail piece reads.
+struct SegmentResult {
+  int display_misses = 0;
+  std::vector<rt::Cycles> lags;  ///< start lag of every dispatched frame
+  StreamFaultStats faults;
+  /// First completion of a delivered (non-concealed) frame within its
+  /// display deadline; -1 when the segment never got one.  Recovery
+  /// latency of a failover segment = first_ontime - failure time.
+  rt::Cycles first_ontime = -1;
+  std::vector<HandoffEntry> handoff;
+};
+
+/// Everything the data plane produces for one admitted stream: the
+/// frame records of all its segments (which serve disjoint frame
+/// ranges), one result per segment, and the certified budget ladder
+/// the overrun policer steps along (empty: none).  Workers only read
+/// `so`; the stitch writes the outcome through it.
+struct StreamRun {
   StreamOutcome* so = nullptr;
-  int segment = 0;  ///< 0 = base placement, k > 0 = failover[k - 1]
-  int first_frame = 0;
-  int end_frame = 0;  ///< one past the last frame this segment serves
-  pipe::FrameRecord* records = nullptr;  ///< the stream's full array
-  SegmentResult* res = nullptr;
-  const std::vector<CertifiedRung>* ladder = nullptr;  ///< null: none
-  /// C=D head piece: the committed zero-slack budget C1 (the head's
-  /// EDF deadline is arrival + C1, not the display deadline).
-  rt::Cycles split_head = 0;
-  std::vector<HandoffEntry>* handoff_out = nullptr;    ///< head side
-  const std::vector<HandoffEntry>* handoff_in = nullptr;  ///< tail side
+  std::vector<pipe::FrameRecord> records;
+  std::vector<SegmentResult> segments;  ///< 0 = base, k = failover[k - 1]
+  std::vector<CertifiedRung> ladder;
+};
+
+/// The share of a segment's service one processor runs: all of it, or
+/// the head or tail piece of a C=D split.
+enum class Piece { kWhole, kHead, kTail };
+
+/// One stream segment assigned to a processor's run queue.  Workers
+/// write only into the stream's StreamRun, and segments of one stream
+/// serve disjoint frame ranges, so workers never race.  A C=D split
+/// segment contributes two assignments — the head and the tail relay
+/// — sharing the segment's result; the level-ordered worker pool runs
+/// the head's processor to completion before the tail's starts, so
+/// the sharing is sequential.
+struct Assignment {
+  StreamRun* run = nullptr;
+  std::size_t segment = 0;  ///< 0 = base placement, k > 0 = failover[k - 1]
+  Piece piece = Piece::kWhole;
 };
 
 /// A frame queued on a processor.
@@ -149,12 +160,17 @@ struct PendingArrival {
 /// One assigned stream segment's simulation state on its processor.
 /// A C=D head piece (split_head > 0) encodes as usual but serves at
 /// most split_head cycles per frame under the tight head deadline,
-/// handing the remainder off.  A tail relay (relay == true) has *no
-/// session* — its frames' records are final when they arrive — and
-/// every session-touching path must be guarded on it.
+/// handing the remainder off.  A tail relay has *no session* — its
+/// frames' records are final when they arrive — and every
+/// session-touching path must be guarded on relay().
 struct StreamState : Assignment {
   const StreamSpec* spec = nullptr;
   const std::vector<BudgetEpoch>* epochs = nullptr;
+  SegmentResult* res = nullptr;
+  int end_frame = 0;  ///< one past the last frame this segment serves
+  /// C=D head piece: the committed zero-slack budget C1 (the head's
+  /// EDF deadline is arrival + C1, not the display deadline).
+  rt::Cycles split_head = 0;
   std::unique_ptr<pipe::StreamSession> session;
   std::optional<FaultPlan> plan;
   rt::Cycles period = 0;
@@ -171,8 +187,9 @@ struct StreamState : Assignment {
   /// worst case the policer cuts at (budget + migration surcharge).
   rt::Cycles enforce_budget = 0;
   rt::Cycles enforce_cost = 0;
-  bool relay = false;
   std::size_t next_handoff = 0;  ///< next handoff entry to release
+
+  bool relay() const { return piece == Piece::kTail; }
 };
 
 /// A frame in service (or suspended mid-service by a preemption).
@@ -194,13 +211,14 @@ struct ActiveJob {
 };
 
 /// Simulates one processor's run queue to completion under the
-/// scenario's scheduling policy.  Writes the per-stream frame records
-/// back through `assigned` (segments of one stream serve disjoint
-/// frame ranges, so no locking) and reports every event once to `ev`,
-/// this processor's private observability sink.
+/// scenario's scheduling policy, with this processor's injected
+/// outages sorted by (start, end).  Writes the per-stream frame
+/// records back through `assigned` (segments of one stream serve
+/// disjoint frame ranges, so no locking) and reports every event once
+/// to `ev`, this processor's private observability sink.
 void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
                    const FaultSpec& fault_spec,
-                   const std::vector<Window>& windows,
+                   const std::vector<FailureEvent>& outages,
                    const std::vector<Assignment>& assigned,
                    ProcessorOutcome* out, EventSink& ev) {
   const std::unique_ptr<sched::SchedPolicy> policy =
@@ -213,19 +231,24 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
   std::vector<StreamState> streams;
   streams.reserve(assigned.size());
   for (const Assignment& asg : assigned) {
+    const StreamOutcome& so = *asg.run->so;
     StreamState st;
     static_cast<Assignment&>(st) = asg;
-    st.spec = &asg.so->spec;
-    st.epochs = asg.segment == 0
-                    ? &asg.so->epochs
-                    : &asg.so->failover[static_cast<std::size_t>(
-                                            asg.segment - 1)]
-                           .epochs;
+    st.spec = &so.spec;
+    st.epochs = asg.segment == 0 ? &so.epochs
+                                 : &so.failover[asg.segment - 1].epochs;
+    st.res = &asg.run->segments[asg.segment];
+    st.next_arrival =
+        asg.segment == 0 ? 0 : so.failover[asg.segment - 1].first_frame;
+    st.end_frame = asg.segment < so.failover.size()
+                       ? so.failover[asg.segment].first_frame
+                       : so.spec.num_frames;
+    if (asg.piece == Piece::kHead) {
+      st.split_head = segment_placement(so, asg.segment).head_cost;
+    }
     st.period = period_of(*st.spec);
     st.latency = latency_of(*st.spec);
-    st.next_arrival = asg.first_frame;
-    st.relay = asg.handoff_in != nullptr;
-    if (!st.relay) {
+    if (!st.relay()) {
       const BudgetEpoch& initial = st.epochs->front();
       st.session = std::make_unique<pipe::StreamSession>(
           stream_pipeline_config(*st.spec, config.seed, config.frame_rate),
@@ -245,18 +268,17 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       arrivals;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const StreamState& st = streams[s];
-    if (st.relay) {
+    if (st.relay()) {
       // A tail relay's "arrivals" are the handoff entries its head
       // piece wrote — complete before this processor's level ran.
-      if (!st.handoff_in->empty()) {
-        arrivals.push(
-            PendingArrival{st.handoff_in->front().release,
-                           static_cast<int>(s)});
+      if (!st.res->handoff.empty()) {
+        arrivals.push(PendingArrival{st.res->handoff.front().release,
+                                     static_cast<int>(s)});
       }
-    } else if (st.first_frame < st.end_frame) {
+    } else if (st.next_arrival < st.end_frame) {
       arrivals.push(PendingArrival{
           st.spec->join_time +
-              static_cast<rt::Cycles>(st.first_frame) * st.period,
+              static_cast<rt::Cycles>(st.next_arrival) * st.period,
           static_cast<int>(s)});
     }
   }
@@ -267,17 +289,17 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
   std::optional<ActiveJob> running;
   rt::Cycles now = 0;
   rt::Cycles span = 0;  ///< last completion time
-  std::size_t next_window = 0;
+  std::size_t next_outage = 0;
   rt::Cycles blackout_until = -1;  ///< end of the current transient outage
   bool halted = false;             ///< permanently failed
 
-  /// Whether an event at instant `t` falls inside any injected outage
-  /// window.  Window-based (not state-based): the answer is a pure
-  /// function of (fault spec, t), independent of how the event loop
-  /// interleaves transitions at equal instants.
+  /// Whether an event at instant `t` falls inside any injected outage.
+  /// Tested against the outage intervals (not simulation state): the
+  /// answer is a pure function of (fault spec, t), independent of how
+  /// the event loop interleaves transitions at equal instants.
   auto in_blackout = [&](rt::Cycles t) {
-    for (const Window& w : windows) {
-      if (t >= w.start && (w.permanent || t < w.end)) return true;
+    for (const FailureEvent& o : outages) {
+      if (t >= o.time && t < outage_end(o)) return true;
     }
     return false;
   };
@@ -297,9 +319,9 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     const BudgetEpoch& ep = (*st.epochs)[st.epoch_idx];
     rt::Cycles budget = ep.table_budget;
     std::shared_ptr<const enc::EncoderSystem> sys = ep.system;
-    if (st.force_rung >= 0 && st.ladder != nullptr) {
+    if (st.force_rung >= 0) {
       const CertifiedRung& rung =
-          (*st.ladder)[static_cast<std::size_t>(st.force_rung)];
+          st.run->ladder[static_cast<std::size_t>(st.force_rung)];
       if (rung.table_budget < budget) {
         budget = rung.table_budget;
         sys = rung.system;
@@ -326,11 +348,12 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
   /// whose record the caller already ran through lose().
   auto conceal = [&](StreamState& st, int f, obs::ConcealReason reason,
                      rt::Cycles cycles = 0, bool in_service = false) {
-    if (st.relay) {
-      st.records[f].lost = true;
-      st.records[f].concealed = true;
+    pipe::FrameRecord& rec = st.run->records[f];
+    if (st.relay()) {
+      rec.lost = true;
+      rec.concealed = true;
     } else if (reason != obs::ConcealReason::kSuspendedOutage) {
-      st.records[f] = st.session->drop(f);
+      rec = st.session->drop(f);
     }
     if (reason == obs::ConcealReason::kQuarantineDrop) {
       ++st.res->faults.quarantine_drops;
@@ -359,11 +382,11 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       out->overhead_cycles += ctx;
       now += ctx;
       ev.resume(now, sid, job.frame, a.remaining);
-    } else if (st.relay) {
+    } else if (st.relay()) {
       // Tail relay: the record is final; just serve the remaining
       // demand.  Dispatch/lag metrics were taken at the head.
       --st.queued;
-      const auto& entries = *st.handoff_in;
+      const std::vector<HandoffEntry>& entries = st.res->handoff;
       const auto eit = std::lower_bound(
           entries.begin(), entries.end(), job.frame,
           [](const HandoffEntry& h, int f) { return h.frame < f; });
@@ -424,9 +447,9 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       case OverrunPolicy::kDowngrade: {
         // Force the stream one certified rung below its current
         // effective budget (no-op when already on the qmin rung).
-        if (st.ladder == nullptr) break;
-        for (std::size_t r = 0; r < st.ladder->size(); ++r) {
-          if ((*st.ladder)[r].table_budget < st.enforce_budget) {
+        const std::vector<CertifiedRung>& ladder = st.run->ladder;
+        for (std::size_t r = 0; r < ladder.size(); ++r) {
+          if (ladder[r].table_budget < st.enforce_budget) {
             st.force_rung = static_cast<int>(r);
             ++st.res->faults.forced_downgrades;
             break;
@@ -471,7 +494,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     StreamState& st = streams[static_cast<std::size_t>(a.job.stream)];
     const int f = a.job.frame;
     pipe::FrameRecord rec = a.rec;
-    if (!st.relay) {
+    if (!st.relay()) {
       if (a.aborted) {
         rec = st.session->lose(rec);
         ++st.res->faults.aborted_frames;
@@ -483,13 +506,13 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       } else {
         rec = st.session->deliver(rec);
       }
-      st.records[f] = rec;
+      st.run->records[f] = rec;
     }
     if (st.split_head > 0 && !rec.concealed) {
       ev.complete_head(now, st.spec->id, f, rec.encode_cycles);
       ev.phases(now, rec.phase_cycles);
       charge(rec.encode_cycles - a.tail_demand);
-      st.handoff_out->push_back(HandoffEntry{
+      st.res->handoff.push_back(HandoffEntry{
           f, a.job.arrival, std::max(a.job.arrival + st.split_head, now),
           a.job.arrival + st.latency, a.tail_demand, rec});
     } else {
@@ -508,10 +531,10 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
                           : obs::CompleteOutcome::kDelivered;
       ev.complete(now, st.spec->mode, st.spec->id, f, now - a.job.arrival,
                   rec.encode_cycles, outcome);
-      if (!st.relay) ev.phases(now, rec.phase_cycles);
+      if (!st.relay()) ev.phases(now, rec.phase_cycles);
       // A relay serves the handed-off share; a concealed split-head
       // frame's tail share was never served anywhere.
-      charge(st.relay ? a.tail_demand : rec.encode_cycles - a.tail_demand);
+      charge(st.relay() ? a.tail_demand : rec.encode_cycles - a.tail_demand);
       ++out->frames_encoded;
     }
     span = now;
@@ -527,13 +550,13 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
   auto conceal_in_service = [&](const ActiveJob& a, bool was_running) {
     StreamState& st = streams[static_cast<std::size_t>(a.job.stream)];
     rt::Cycles consumed = a.tail_demand - a.remaining;
-    if (!st.relay) {
+    if (!st.relay()) {
       // Cycles actually consumed on this processor (a split head never
       // held its tail share).
       pipe::FrameRecord rec = a.rec;
       rec.encode_cycles -= a.remaining + a.tail_demand;
       consumed = rec.encode_cycles;
-      st.records[a.job.frame] = st.session->lose(rec);
+      st.run->records[a.job.frame] = st.session->lose(rec);
     }
     conceal(st, a.job.frame, obs::ConcealReason::kSuspendedOutage, consumed,
             was_running);
@@ -567,10 +590,10 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       }
       ev.processor_repair(now);
     }
-    while (next_window < windows.size() &&
-           now >= windows[next_window].start) {
-      const Window& w = windows[next_window++];
-      ev.processor_fail(now, w.permanent, w.end);
+    while (next_outage < outages.size() &&
+           now >= outages[next_outage].time) {
+      const FailureEvent& o = outages[next_outage++];
+      ev.processor_fail(now, o.permanent(), outage_end(o));
       // Everything in flight or queued is lost to the outage.
       if (running) {
         conceal_in_service(*running, true);
@@ -588,10 +611,10 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       }
       ready.clear();
       ev.queue_depth(now, 0);
-      if (w.permanent) {
+      if (o.permanent()) {
         halted = true;
       } else {
-        blackout_until = std::max(blackout_until, w.end);
+        blackout_until = std::max(blackout_until, outage_end(o));
       }
     }
 
@@ -601,14 +624,15 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       const PendingArrival a = arrivals.top();
       arrivals.pop();
       StreamState& st = streams[static_cast<std::size_t>(a.stream)];
-      if (st.relay) {
+      if (st.relay()) {
         // A handed-off tail job becomes ready.  No camera-buffer or
         // quarantine logic — the head already applied both; only an
         // outage on *this* processor can still lose the frame.
-        const HandoffEntry& e = (*st.handoff_in)[st.next_handoff++];
-        if (st.next_handoff < st.handoff_in->size()) {
-          arrivals.push(PendingArrival{
-              (*st.handoff_in)[st.next_handoff].release, a.stream});
+        const std::vector<HandoffEntry>& handoff = st.res->handoff;
+        const HandoffEntry& e = handoff[st.next_handoff++];
+        if (st.next_handoff < handoff.size()) {
+          arrivals.push(
+              PendingArrival{handoff[st.next_handoff].release, a.stream});
         }
         if (in_blackout(a.time)) {
           // The head's delivered record stands, but the viewer never
@@ -639,15 +663,14 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
         }
         // Quarantine over: re-admit at the qmin rung.
         st.quarantined_until = -1;
-        if (st.pending_qmin && st.ladder != nullptr &&
-            !st.ladder->empty()) {
-          st.force_rung = static_cast<int>(st.ladder->size()) - 1;
+        if (st.pending_qmin && !st.run->ladder.empty()) {
+          st.force_rung = static_cast<int>(st.run->ladder.size()) - 1;
         }
         st.pending_qmin = false;
       }
       if (st.queued >= st.spec->buffer_capacity) {
         // Input buffer full: the camera drops the frame.
-        st.records[f] = st.session->skip(f);
+        st.run->records[f] = st.session->skip(f);
         ev.camera_skip();
       } else {
         ++st.queued;
@@ -688,15 +711,15 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     // quantum-boundary preemption, or a blackout boundary.
     const rt::Cycles t_fin = running ? now + running->remaining : kNever;
     const rt::Cycles t_arr = arrivals.empty() ? kNever : arrivals.top().time;
-    const rt::Cycles t_black = next_window < windows.size()
-                                   ? windows[next_window].start
+    const rt::Cycles t_black = next_outage < outages.size()
+                                   ? outages[next_outage].time
                                    : kNever;
     const rt::Cycles t_repair =
         (!halted && blackout_until >= 0) ? blackout_until : kNever;
     rt::Cycles t =
         std::min({t_fin, t_arr, preemption_at(), t_black, t_repair});
     if (t == kNever) break;  // unreachable: some event is always due
-    t = std::max(t, now);    // a window may start in the past
+    t = std::max(t, now);    // an outage may start in the past
     if (running) running->remaining -= t - now;
     now = t;
     if (running && running->remaining == 0) complete();
@@ -711,92 +734,126 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
           : 0.0;
 }
 
-}  // namespace
 
-FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
-  QC_EXPECT(config.num_processors >= 1, "farm needs >= 1 processor");
-  QC_EXPECT(config.control_epoch >= 0,
-            "control epoch must be non-negative");
-  for (const FailureEvent& ev : scenario.faults.failures) {
-    QC_EXPECT(ev.processor >= 0 && ev.processor < config.num_processors,
-              "failure event targets a processor outside the farm");
-    QC_EXPECT(ev.time >= 0 && ev.repair >= 0,
-              "failure event times must be non-negative");
-  }
-
-  FarmResult result;
-  result.sched = scenario.sched;
-  result.fault_spec = scenario.faults;
-  result.farm_seed = config.seed;
-
-  result.streams.reserve(scenario.streams.size());
-  for (const StreamSpec& spec : scenario.streams) {
-    StreamOutcome so;
-    so.spec = spec;
-    result.streams.push_back(std::move(so));
-  }
-  result.processors.resize(static_cast<std::size_t>(config.num_processors));
-  result.failures.reserve(scenario.faults.failures.size());
-  for (const FailureEvent& ev : scenario.faults.failures) {
-    FailureOutcome fo;
-    fo.event = ev;
-    result.failures.push_back(fo);
-  }
-
-  // ----- Control plane: global join/leave/failure event queue, in
-  // time order.  Joins at equal times are processed in stream-id
-  // order; a leave releases its commitment before any join at or
-  // after it; a permanent failure is handled before any join at or
-  // after it (so newcomers never land on a dead processor) and after
-  // leaves at the same instant.
-  std::vector<StreamOutcome*> join_order;
-  join_order.reserve(result.streams.size());
-  for (StreamOutcome& so : result.streams) join_order.push_back(&so);
-  std::sort(join_order.begin(), join_order.end(),
-            [](const StreamOutcome* a, const StreamOutcome* b) {
-              return std::tie(a->spec.join_time, a->spec.id) <
-                     std::tie(b->spec.join_time, b->spec.id);
-            });
-  std::map<int, StreamOutcome*> by_id;
-  for (StreamOutcome& so : result.streams) by_id[so.spec.id] = &so;
-
-  TableCache tables(platform::figure5_cost_table());
-  ShardPlaneConfig shard_cfg;
-  shard_cfg.shards = config.shards;
-  shard_cfg.probe_shards = config.probe_shards;
-  shard_cfg.rebalance_watermark = config.rebalance_watermark;
-  ShardedControlPlane plane(config.num_processors, shard_cfg,
-                            config.admission, &tables, scenario.sched);
-
-  // Observability: one event sink per virtual processor plus the
-  // sequential control plane's, each feeding its own registry, trace
-  // ring and series recorder — merged in index order afterwards, so
-  // every output is independent of the worker count.
-  FarmSinks sinks(config, plane.num_shards());
-  EventSink& control = sinks.control();
-
+/// The control plane: plays joins, leaves, permanent failures and the
+/// rebalancer in virtual-time order against the sharded admission
+/// plane, and records every verdict in the FarmResult it builds —
+/// placements, budget epochs, failover segments, failure outcomes and
+/// committed-utilization peaks.  Sequential, so placement depends only
+/// on committed worst cases.
+struct ControlPlane {
+  const FarmScenario& scenario;
+  const FarmConfig& config;
+  ShardedControlPlane& plane;
+  EventSink& control;
+  FarmResult result{};
+  std::map<int, StreamOutcome*> by_id{};
   using Leave = std::pair<rt::Cycles, int>;  // (leave time, stream id)
-  std::priority_queue<Leave, std::vector<Leave>, std::greater<Leave>> leaves;
-
-  // Permanent failures in control-plane order: (time, processor,
-  // scenario index).
-  std::vector<std::size_t> perm;
-  for (std::size_t k = 0; k < scenario.faults.failures.size(); ++k) {
-    if (scenario.faults.failures[k].permanent()) perm.push_back(k);
-  }
-  std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-    const FailureEvent& ea = scenario.faults.failures[a];
-    const FailureEvent& eb = scenario.faults.failures[b];
-    return std::tie(ea.time, ea.processor, a) <
-           std::tie(eb.time, eb.processor, b);
-  });
+  std::priority_queue<Leave, std::vector<Leave>, std::greater<Leave>>
+      leaves{};
+  std::vector<std::size_t> perm{};  ///< permanent failures, in order
   std::size_t next_perm = 0;
 
-  // Budget changes imposed on running streams — shrinks by admission,
-  // grows by a departure's restore pass — each open a new budget epoch
-  // on their stream at the change's effective time (on the stream's
-  // currently-running segment: the latest failover one, if any).
-  auto apply_renegotiations = [&] {
+  FarmResult run() {
+    result.sched = scenario.sched;
+    result.fault_spec = scenario.faults;
+    result.farm_seed = config.seed;
+    result.streams.reserve(scenario.streams.size());
+    for (const StreamSpec& spec : scenario.streams) {
+      result.streams.emplace_back().spec = spec;
+    }
+    for (StreamOutcome& so : result.streams) by_id[so.spec.id] = &so;
+    result.processors.resize(
+        static_cast<std::size_t>(config.num_processors));
+    for (const FailureEvent& ev : scenario.faults.failures) {
+      result.failures.emplace_back().event = ev;
+    }
+    result.shards = plane.num_shards();
+    result.shard_outcomes.resize(static_cast<std::size_t>(result.shards));
+
+    // Permanent failures in control-plane order: (time, processor,
+    // scenario index).
+    for (std::size_t k = 0; k < scenario.faults.failures.size(); ++k) {
+      if (scenario.faults.failures[k].permanent()) perm.push_back(k);
+    }
+    std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
+      const FailureEvent& ea = scenario.faults.failures[a];
+      const FailureEvent& eb = scenario.faults.failures[b];
+      return std::tie(ea.time, ea.processor, a) <
+             std::tie(eb.time, eb.processor, b);
+    });
+
+    // Joins, grouped into control batches: all joins in the same
+    // control epoch window form one batch (every join is its own batch
+    // when no epoch is configured).  Each join is still processed one
+    // at a time in (time, id) order — batching sets the rebalance
+    // cadence and the storm accounting, never the admission decisions.
+    // A leave releases its commitment before any join at or after it;
+    // a permanent failure is handled before any join at or after it
+    // (so newcomers never land on a dead processor) and after leaves at
+    // the same instant.
+    std::vector<StreamOutcome*> order;
+    order.reserve(result.streams.size());
+    for (StreamOutcome& so : result.streams) order.push_back(&so);
+    std::sort(order.begin(), order.end(),
+              [](const StreamOutcome* a, const StreamOutcome* b) {
+                return joins_before(a->spec, b->spec);
+              });
+    const rt::Cycles epoch = config.control_epoch;
+    for (std::size_t b = 0; b < order.size();) {
+      std::size_t e = b + 1;
+      if (epoch > 0) {
+        const rt::Cycles window = order[b]->spec.join_time / epoch;
+        while (e < order.size() &&
+               order[e]->spec.join_time / epoch == window) {
+          ++e;
+        }
+      }
+      for (std::size_t j = b; j < e; ++j) join(*order[j]);
+      const rt::Cycles batch_end = order[e - 1]->spec.join_time;
+      if (epoch > 0) {
+        ++result.join_batches;
+        result.max_join_batch =
+            std::max(result.max_join_batch, static_cast<int>(e - b));
+        control.join_batch(batch_end, static_cast<int>(e - b));
+      }
+      rebalance(batch_end);
+      b = e;
+    }
+    // Departures and failures after the last join: drain to the end —
+    // restore passes still grow long-lived incumbents, and a late
+    // failure still displaces whoever remains.
+    drain_until(kNever);
+    return std::move(result);
+  }
+
+  void join(StreamOutcome& so) {
+    drain_until(so.spec.join_time);
+    so.placement = plane.admit(so.spec);
+    apply_renegotiations();
+    if (!so.placement.admitted) {
+      control.reject(so.spec.join_time, so.spec.id);
+      return;
+    }
+    so.epochs.insert(so.epochs.begin(),
+                     opening_epoch(so.spec.join_time, so.placement));
+    leaves.emplace(leave_time_of(so.spec), so.spec.id);
+    note_peak(so.placement.processor);
+    control.admit(so.spec.join_time, so.spec.id, so.placement,
+                  plane.shard_of(so.placement.processor));
+  }
+
+  /// The budget epoch a fresh placement opens at `from`.
+  static BudgetEpoch opening_epoch(rt::Cycles from, const Placement& pl) {
+    return BudgetEpoch{from, pl.table_budget, pl.committed_cost, pl.system};
+  }
+
+  /// Budget changes imposed on running streams — shrinks by admission,
+  /// grows by a departure's restore pass — each open a new budget
+  /// epoch on their stream at the change's effective time (on the
+  /// stream's currently-running segment: the latest failover one, if
+  /// any).
+  void apply_renegotiations() {
     for (BudgetRenegotiation& r : plane.take_renegotiations()) {
       StreamOutcome* victim = by_id.at(r.stream_id);
       bool& marked = r.grow ? victim->restored : victim->renegotiated;
@@ -806,24 +863,41 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
         marked = true;
         ++(r.grow ? result.restored_streams : result.renegotiated_streams);
       }
-      std::vector<BudgetEpoch>& epochs = victim->failover.empty()
-                                             ? victim->epochs
-                                             : victim->failover.back().epochs;
-      epochs.push_back(BudgetEpoch{r.effective_time, r.table_budget,
-                                   r.committed_cost, std::move(r.system)});
+      active_epochs(*victim).push_back(BudgetEpoch{
+          r.effective_time, r.table_budget, r.committed_cost,
+          std::move(r.system)});
     }
-  };
+  }
 
-  std::vector<double> shard_peaks(static_cast<std::size_t>(config.shards),
-                                  0.0);
-  auto note_peak = [&](int processor) {
-    auto& proc = result.processors[static_cast<std::size_t>(processor)];
+  void note_peak(int processor) {
     const double u = plane.committed_utilization(processor);
+    auto& proc = result.processors[static_cast<std::size_t>(processor)];
     proc.peak_committed_utilization =
         std::max(proc.peak_committed_utilization, u);
-    auto& sp = shard_peaks[static_cast<std::size_t>(plane.shard_of(processor))];
-    sp = std::max(sp, u);
-  };
+    auto& shard = result.shard_outcomes[static_cast<std::size_t>(
+        plane.shard_of(processor))];
+    shard.peak_committed_utilization =
+        std::max(shard.peak_committed_utilization, u);
+  }
+
+  /// Opens a segment of `so`'s life on a new placement, serving from
+  /// camera frame `first_frame` on: a failover re-admission after
+  /// failure `failure_index`, or a rebalancer migration (-1).
+  void open_segment(StreamOutcome& so, int failure_index, rt::Cycles at,
+                    int first_frame, const Placement& pl) {
+    const rt::Cycles from =
+        so.spec.join_time +
+        static_cast<rt::Cycles>(first_frame) * period_of(so.spec);
+    so.failover.push_back(FailoverSegment{failure_index, at, first_frame, pl,
+                                          {opening_epoch(from, pl)}});
+    note_peak(pl.processor);
+    if (failure_index >= 0) {
+      control.failover(at, so.spec.id, pl.processor);
+    } else {
+      control.rebalance(at, so.spec.id, pl.processor,
+                        plane.shard_of(pl.processor));
+    }
+  }
 
   /// A permanent processor failure: mark it dead, then release and
   /// re-admit its residents one by one (ascending stream id) across
@@ -831,7 +905,7 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   /// apply, exactly as for a fresh join.  Each successful re-admission
   /// opens a failover segment serving the stream's first frame not yet
   /// due on the dead processor.
-  auto handle_failure = [&](std::size_t k) {
+  void handle_failure(std::size_t k) {
     const FailureEvent& ev = scenario.faults.failures[k];
     FailureOutcome& fo = result.failures[k];
     if (plane.processor_failed(ev.processor)) return;  // already dead
@@ -840,23 +914,22 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
     po.failed = true;
     po.failed_at = ev.time;
     for (int id : plane.resident_stream_ids(ev.processor)) {
-      StreamOutcome* so = by_id.at(id);
+      StreamOutcome& so = *by_id.at(id);
       plane.release(id, ev.time);
       apply_renegotiations();
       ++fo.displaced;
-      const rt::Cycles period = period_of(so->spec);
+      const rt::Cycles period = period_of(so.spec);
       // First frame the survivors serve: the first arrival strictly
       // after the failure instant (an arrival at the instant itself is
       // concealed by the dying processor's blackout).
-      const rt::Cycles elapsed = ev.time - so->spec.join_time;
-      int ff = elapsed >= 0
-                   ? static_cast<int>(elapsed / period) + 1
-                   : 0;
-      if (ff >= so->spec.num_frames) continue;  // nothing left to serve
-      StreamSpec resume = so->spec;
+      const rt::Cycles elapsed = ev.time - so.spec.join_time;
+      const int ff =
+          elapsed >= 0 ? static_cast<int>(elapsed / period) + 1 : 0;
+      if (ff >= so.spec.num_frames) continue;  // nothing left to serve
+      StreamSpec resume = so.spec;
       resume.join_time =
-          so->spec.join_time + static_cast<rt::Cycles>(ff) * period;
-      resume.num_frames = so->spec.num_frames - ff;
+          so.spec.join_time + static_cast<rt::Cycles>(ff) * period;
+      resume.num_frames = so.spec.num_frames - ff;
       const Placement pl = plane.admit(resume);
       apply_renegotiations();
       if (!pl.admitted) {
@@ -869,19 +942,15 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
       }
       ++fo.readmitted;
       ++result.failover_readmissions;
-      control.failover(ev.time, id, pl.processor);
-      so->failover.push_back(FailoverSegment{
-          static_cast<int>(k), ev.time, ff, pl,
-          {opening_epoch(resume.join_time, pl)}});
-      note_peak(pl.processor);
+      open_segment(so, static_cast<int>(k), ev.time, ff, pl);
       // The stream keeps its original leave time (same last frame), so
       // the leave entry already queued releases the new commitment.
     }
-  };
+  }
 
   /// Processes every leave and permanent failure due at or before
   /// `t_limit`, leaves first at equal instants.
-  auto drain_until = [&](rt::Cycles t_limit) {
+  void drain_until(rt::Cycles t_limit) {
     while (true) {
       const rt::Cycles t_leave = leaves.empty() ? kNever : leaves.top().first;
       const rt::Cycles t_fail =
@@ -898,7 +967,7 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
         handle_failure(perm[next_perm++]);
       }
     }
-  };
+  }
 
   /// Cross-shard rebalancing, run after each control batch: migrate
   /// residents off the hottest shard while its pressure exceeds the
@@ -906,7 +975,7 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   /// failure_index -1 — the data plane treats it exactly like a
   /// failover hand-off, minus the blackout.  The per-batch cap bounds
   /// churn even under adversarial load.
-  auto run_rebalancer = [&](rt::Cycles now) {
+  void rebalance(rt::Cycles now) {
     if (config.rebalance_watermark <= 0.0) return;
     const int cap = 4 * plane.num_shards();
     int moved = 0;
@@ -914,261 +983,127 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
     while (moved < cap && plane.rebalance_step(now, &mg)) {
       ++moved;
       ++result.rebalance_migrations;
-      StreamOutcome* so = by_id.at(mg.stream_id);
+      StreamOutcome& so = *by_id.at(mg.stream_id);
       // mg.from_time is the first arrival the new placement serves;
       // against the stream's original join it names the absolute frame
       // index even after repeated migrations.
       const int first = static_cast<int>(
-          (mg.from_time - so->spec.join_time) / period_of(so->spec));
-      so->failover.push_back(FailoverSegment{
-          -1, now, first, mg.placement,
-          {opening_epoch(mg.from_time, mg.placement)}});
-      note_peak(mg.placement.processor);
-      control.rebalance(now, mg.stream_id, mg.placement.processor,
-                        mg.to_shard);
+          (mg.from_time - so.spec.join_time) / period_of(so.spec));
+      open_segment(so, -1, now, first, mg.placement);
       apply_renegotiations();
     }
-  };
-
-  // Joins, grouped into control batches: all joins in the same control
-  // epoch window form one batch (every join is its own batch when no
-  // epoch is configured).  Each join is still processed one at a time
-  // in (time, id) order — batching sets the rebalance cadence and the
-  // storm accounting, never the admission decisions.
-  const rt::Cycles epoch = config.control_epoch;
-  for (std::size_t b = 0; b < join_order.size();) {
-    std::size_t e = b + 1;
-    if (epoch > 0) {
-      const rt::Cycles window = join_order[b]->spec.join_time / epoch;
-      while (e < join_order.size() &&
-             join_order[e]->spec.join_time / epoch == window) {
-        ++e;
-      }
-    }
-    for (std::size_t j = b; j < e; ++j) {
-      StreamOutcome* so = join_order[j];
-      drain_until(so->spec.join_time);
-      so->placement = plane.admit(so->spec);
-      apply_renegotiations();
-      if (so->placement.admitted) {
-        so->epochs.insert(so->epochs.begin(),
-                          opening_epoch(so->spec.join_time, so->placement));
-        leaves.emplace(leave_time_of(so->spec), so->spec.id);
-        note_peak(so->placement.processor);
-        control.admit(so->spec.join_time, so->spec.id, so->placement,
-                      plane.shard_of(so->placement.processor));
-      } else {
-        control.reject(so->spec.join_time, so->spec.id);
-      }
-    }
-    const rt::Cycles batch_end = join_order[e - 1]->spec.join_time;
-    if (epoch > 0) {
-      ++result.join_batches;
-      result.max_join_batch =
-          std::max(result.max_join_batch, static_cast<int>(e - b));
-      control.join_batch(batch_end, static_cast<int>(e - b));
-    }
-    run_rebalancer(batch_end);
-    b = e;
   }
-  // Departures and failures after the last join: drain to the end —
-  // restore passes still grow long-lived incumbents, and a late
-  // failure still displaces whoever remains.
-  drain_until(kNever);
+};
 
-  // ----- Certified budget ladders for the overrun policer (compiled
-  // on the control plane: TableCache is not thread-safe).
+/// The data plane: compiles the overrun policer's certified ladders
+/// (sequentially — TableCache is not thread-safe), assigns every
+/// admitted stream's segments to processor run queues, and runs the
+/// queues on up to FarmConfig::workers threads.  Returns one StreamRun
+/// per admitted stream, in scenario order; writes the per-processor
+/// outcomes into `result`.
+std::vector<StreamRun> run_data_plane(const FarmScenario& scenario,
+                                      const FarmConfig& config,
+                                      ShardedControlPlane& plane,
+                                      FarmSinks& sinks, FarmResult& result) {
   const bool need_ladders =
       scenario.faults.overrun.enabled() &&
       scenario.faults.overrun.policy != OverrunPolicy::kAbortConceal;
-  std::vector<std::vector<CertifiedRung>> ladders(result.streams.size());
-  if (need_ladders) {
-    for (std::size_t i = 0; i < result.streams.size(); ++i) {
-      const StreamOutcome& so = result.streams[i];
-      if (!so.placement.admitted || so.placement.split ||
-          so.spec.mode != pipe::ControlMode::kControlled) {
-        // Split placements get no ladder: their two pieces are priced
-        // as one immutable commitment, so the policer's downgrade and
-        // quarantine re-entry rungs would not match what was admitted.
-        continue;
-      }
-      ladders[i] = plane.certified_ladder(
+  const auto num_procs = static_cast<std::size_t>(config.num_processors);
+  std::vector<StreamRun> runs;
+  for (StreamOutcome& so : result.streams) {
+    if (so.placement.admitted) runs.emplace_back().so = &so;
+  }
+  std::vector<StreamRun*> order;
+  order.reserve(runs.size());
+  for (StreamRun& run : runs) order.push_back(&run);
+  std::sort(order.begin(), order.end(),
+            [](const StreamRun* a, const StreamRun* b) {
+              return joins_before(a->so->spec, b->so->spec);
+            });
+  std::vector<std::vector<Assignment>> per_processor(num_procs);
+  // C=D handoff sources feeding each tail processor.
+  std::vector<std::vector<int>> feeders(num_procs);
+  for (StreamRun* r : order) {
+    StreamRun& run = *r;
+    const StreamOutcome& so = *run.so;
+    run.records.resize(static_cast<std::size_t>(so.spec.num_frames));
+    run.segments.resize(1 + so.failover.size());
+    // Split placements get no ladder: their two pieces are priced as
+    // one immutable commitment, so the policer's downgrade and
+    // quarantine re-entry rungs would not match what was admitted.
+    if (need_ladders && !so.placement.split &&
+        so.spec.mode == pipe::ControlMode::kControlled) {
+      run.ladder = plane.certified_ladder(
           macroblocks_of(so.spec), latency_of(so.spec), period_of(so.spec));
     }
-  }
-
-  // ----- Outage windows per processor, from the injected failures.
-  std::vector<std::vector<Window>> windows(
-      static_cast<std::size_t>(config.num_processors));
-  for (const FailureEvent& ev : scenario.faults.failures) {
-    Window w;
-    w.start = ev.time;
-    w.end = ev.permanent() ? kNever : ev.time + ev.repair;
-    w.permanent = ev.permanent();
-    windows[static_cast<std::size_t>(ev.processor)].push_back(w);
-  }
-  for (auto& ws : windows) {
-    std::sort(ws.begin(), ws.end(), [](const Window& a, const Window& b) {
-      return std::tie(a.start, a.end) < std::tie(b.start, b.end);
-    });
-  }
-
-  // ----- Data plane: one run queue per processor, workers in
-  // parallel.  Each admitted stream contributes one segment per
-  // placement (base + failovers), covering disjoint frame ranges of a
-  // shared per-stream record array.
-  std::vector<std::vector<pipe::FrameRecord>> records(result.streams.size());
-  std::vector<std::vector<SegmentResult>> seg_results(result.streams.size());
-  // Handoff buffers for C=D split segments, one per (stream, segment):
-  // written by the head piece's processor, read by the tail's — which
-  // the level-ordered worker pool below runs strictly later.
-  std::vector<std::vector<std::vector<HandoffEntry>>> handoffs(
-      result.streams.size());
-  std::vector<std::vector<Assignment>> per_processor(
-      static_cast<std::size_t>(config.num_processors));
-  // C=D handoff sources feeding each tail processor.
-  std::vector<std::vector<int>> feeders(per_processor.size());
-  for (StreamOutcome* so : join_order) {
-    if (!so->placement.admitted) continue;
-    const std::size_t i =
-        static_cast<std::size_t>(so - result.streams.data());
-    records[i].resize(static_cast<std::size_t>(so->spec.num_frames));
-    seg_results[i].resize(1 + so->failover.size());
-    handoffs[i].resize(1 + so->failover.size());
-    const std::vector<CertifiedRung>* ladder =
-        ladders[i].empty() ? nullptr : &ladders[i];
-    auto segment_end = [&](std::size_t seg) {
-      return seg < so->failover.size()
-                 ? so->failover[seg].first_frame
-                 : so->spec.num_frames;
-    };
-    // A split segment contributes two assignments (head + tail relay)
-    // sharing records and tallies; a whole segment contributes one.
-    auto add_segment = [&](int seg, const Placement& pl, int first) {
-      Assignment asg;
-      asg.so = so;
-      asg.segment = seg;
-      asg.first_frame = first;
-      asg.end_frame = segment_end(static_cast<std::size_t>(seg));
-      asg.records = records[i].data();
-      asg.res = &seg_results[i][static_cast<std::size_t>(seg)];
-      asg.ladder = ladder;
+    for (std::size_t seg = 0; seg < run.segments.size(); ++seg) {
+      const Placement& pl = segment_placement(so, seg);
+      per_processor[static_cast<std::size_t>(pl.processor)].push_back(
+          {&run, seg, pl.split ? Piece::kHead : Piece::kWhole});
       if (pl.split) {
-        asg.split_head = pl.head_cost;
-        asg.handoff_out = &handoffs[i][static_cast<std::size_t>(seg)];
-        per_processor[static_cast<std::size_t>(pl.processor)].push_back(
-            asg);
-        Assignment tail = asg;
-        tail.split_head = 0;
-        tail.handoff_out = nullptr;
-        tail.handoff_in = &handoffs[i][static_cast<std::size_t>(seg)];
-        per_processor[static_cast<std::size_t>(pl.tail_processor)]
-            .push_back(tail);
-        feeders[static_cast<std::size_t>(pl.tail_processor)].push_back(
-            pl.processor);
-      } else {
-        per_processor[static_cast<std::size_t>(pl.processor)].push_back(
-            asg);
+        const auto tail = static_cast<std::size_t>(pl.tail_processor);
+        per_processor[tail].push_back({&run, seg, Piece::kTail});
+        feeders[tail].push_back(pl.processor);
       }
-    };
-    add_segment(0, so->placement, 0);
-    for (std::size_t k = 0; k < so->failover.size(); ++k) {
-      add_segment(static_cast<int>(k) + 1, so->failover[k].placement,
-                  so->failover[k].first_frame);
     }
   }
 
-  const int workers = std::clamp(config.workers, 1, config.num_processors);
+  // Each processor's injected outages, by (start, end).
+  std::vector<std::vector<FailureEvent>> outages(num_procs);
+  for (const FailureEvent& ev : scenario.faults.failures) {
+    outages[static_cast<std::size_t>(ev.processor)].push_back(ev);
+  }
+  for (std::vector<FailureEvent>& os : outages) {
+    std::sort(os.begin(), os.end(),
+              [](const FailureEvent& a, const FailureEvent& b) {
+                return std::make_pair(a.time, outage_end(a)) <
+                       std::make_pair(b.time, outage_end(b));
+              });
+  }
 
   // C=D handoff dependencies: a tail processor may only run once every
   // head processor feeding it has finished (the relay reads the head's
   // completed handoff buffer).  Heads always carry the lower index
   // (admission guarantees it), so one ascending pass computes final
   // levels; without splits every processor sits at level 0 and the
-  // pool degenerates to the old single fully-parallel drain.
-  std::vector<std::size_t> level(feeders.size(), 0);
+  // pool is a single fully-parallel drain.
+  std::vector<std::size_t> level(num_procs, 0);
   std::vector<std::vector<int>> by_level;
-  for (std::size_t p = 0; p < feeders.size(); ++p) {
+  for (std::size_t p = 0; p < num_procs; ++p) {
     for (const int a : feeders[p]) {
       level[p] = std::max(level[p], level[static_cast<std::size_t>(a)] + 1);
     }
     if (level[p] >= by_level.size()) by_level.resize(level[p] + 1);
     by_level[level[p]].push_back(static_cast<int>(p));
   }
+  const int workers = std::clamp(config.workers, 1, config.num_processors);
   for (const std::vector<int>& procs : by_level) {
     std::atomic<std::size_t> next_slot{0};
     auto drain = [&] {
       for (std::size_t s = next_slot.fetch_add(1); s < procs.size();
            s = next_slot.fetch_add(1)) {
-        const int p = procs[s];
-        run_processor(config, scenario.sched, scenario.faults,
-                      windows[static_cast<std::size_t>(p)],
-                      per_processor[static_cast<std::size_t>(p)],
-                      &result.processors[static_cast<std::size_t>(p)],
-                      sinks.processor(p));
+        const auto p = static_cast<std::size_t>(procs[s]);
+        run_processor(config, scenario.sched, scenario.faults, outages[p],
+                      per_processor[p], &result.processors[p],
+                      sinks.processor(procs[s]));
       }
     };
-    const int nthreads =
-        std::min(workers, static_cast<int>(procs.size()));
+    const int nthreads = std::min(workers, static_cast<int>(procs.size()));
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(nthreads - 1));
     for (int w = 1; w < nthreads; ++w) pool.emplace_back(drain);
     drain();
     for (std::thread& t : pool) t.join();
   }
+  return runs;
+}
 
-  // ----- Stitch segments back into per-stream outcomes.
-  for (std::size_t i = 0; i < result.streams.size(); ++i) {
-    StreamOutcome& so = result.streams[i];
-    if (!so.placement.admitted) continue;
-    std::vector<rt::Cycles> lags;
-    for (const SegmentResult& sr : seg_results[i]) {
-      so.display_misses += sr.display_misses;
-      so.faults += sr.faults;
-      lags.insert(lags.end(), sr.lags.begin(), sr.lags.end());
-    }
-    so.quarantined = so.faults.quarantines > 0;
-    if (!lags.empty()) {
-      double lag_sum = 0.0;
-      for (rt::Cycles lag : lags) {
-        so.max_start_lag = std::max(so.max_start_lag, lag);
-        lag_sum += static_cast<double>(lag);
-      }
-      so.mean_start_lag = lag_sum / static_cast<double>(lags.size());
-      std::sort(lags.begin(), lags.end());
-      so.start_lag_p95 =
-          lags[static_cast<std::size_t>(0.95 *
-                                        static_cast<double>(lags.size() - 1))];
-    }
-    so.result = pipe::aggregate_records(
-        std::move(records[i]), so.placement.table_budget,
-        stream_pipeline_config(so.spec, config.seed, config.frame_rate)
-            .rate.frame_rate);
-    so.internal_misses = so.result.total_deadline_misses;
-  }
-
-  // Recovery latency per permanent failure: time from the failure
-  // instant to the first on-time delivered frame of each re-admitted
-  // segment.
-  for (const StreamOutcome& so : result.streams) {
-    const std::size_t i =
-        static_cast<std::size_t>(&so - result.streams.data());
-    for (std::size_t k = 0; k < so.failover.size(); ++k) {
-      const FailoverSegment& seg = so.failover[k];
-      const SegmentResult& sr = seg_results[i][k + 1];
-      if (seg.failure_index < 0 || sr.first_ontime < 0) continue;
-      FailureOutcome& fo =
-          result.failures[static_cast<std::size_t>(seg.failure_index)];
-      ++fo.recovered;
-      const rt::Cycles latency = sr.first_ontime - fo.event.time;
-      fo.first_recovery = fo.first_recovery < 0
-                              ? latency
-                              : std::min(fo.first_recovery, latency);
-      fo.full_recovery = std::max(fo.full_recovery, latency);
-    }
-  }
-
-  // ----- Fleet aggregates.
+/// Folds each admitted stream's run into its StreamOutcome, each
+/// failover segment's first on-time frame into its failure's recovery
+/// latency, and every run into the fleet aggregates — one pass, in
+/// scenario order.
+void stitch(const FarmConfig& config, std::vector<StreamRun> runs,
+            FarmResult& result) {
   result.total_streams = static_cast<int>(result.streams.size());
   result.quality_histogram.assign(
       platform::figure5_quality_levels().size(), 0);
@@ -1176,13 +1111,48 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
     result.total_preemptions += po.preemptions;
     result.total_overhead_cycles += po.overhead_cycles;
   }
+  result.admitted = static_cast<int>(runs.size());
+  result.rejected = result.total_streams - result.admitted;
   double psnr_sum = 0.0, ssim_sum = 0.0, quality_sum = 0.0;
-  for (const StreamOutcome& so : result.streams) {
-    if (!so.placement.admitted) {
-      ++result.rejected;
-      continue;
+  for (StreamRun& run : runs) {
+    StreamOutcome& so = *run.so;
+    std::vector<rt::Cycles> lags;
+    for (std::size_t seg = 0; seg < run.segments.size(); ++seg) {
+      const SegmentResult& sr = run.segments[seg];
+      so.display_misses += sr.display_misses;
+      so.faults += sr.faults;
+      lags.insert(lags.end(), sr.lags.begin(), sr.lags.end());
+      // Recovery latency of a permanent failure: from the failure
+      // instant to the first on-time delivered frame of each segment
+      // it re-admitted.
+      if (seg == 0) continue;
+      const FailoverSegment& fs = so.failover[seg - 1];
+      if (fs.failure_index < 0 || sr.first_ontime < 0) continue;
+      FailureOutcome& fo =
+          result.failures[static_cast<std::size_t>(fs.failure_index)];
+      ++fo.recovered;
+      const rt::Cycles latency = sr.first_ontime - fo.event.time;
+      fo.first_recovery = fo.first_recovery < 0
+                              ? latency
+                              : std::min(fo.first_recovery, latency);
+      fo.full_recovery = std::max(fo.full_recovery, latency);
     }
-    ++result.admitted;
+    so.quarantined = so.faults.quarantines > 0;
+    if (!lags.empty()) {
+      std::sort(lags.begin(), lags.end());
+      double lag_sum = 0.0;  // exact in any order: integers below 2^53
+      for (rt::Cycles lag : lags) lag_sum += static_cast<double>(lag);
+      so.max_start_lag = lags.back();
+      so.mean_start_lag = lag_sum / static_cast<double>(lags.size());
+      so.start_lag_p95 =
+          lags[static_cast<std::size_t>(0.95 *
+                                        static_cast<double>(lags.size() - 1))];
+    }
+    so.result = pipe::aggregate_records(
+        std::move(run.records), so.placement.table_budget,
+        stream_frame_rate(so.spec, config.frame_rate));
+    so.internal_misses = so.result.total_deadline_misses;
+
     result.migrated += so.placement.migrated ? 1 : 0;
     result.degraded += so.placement.degraded ? 1 : 0;
     result.split_streams += so.placement.split ? 1 : 0;
@@ -1215,28 +1185,54 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   result.fleet_mean_psnr = mean(psnr_sum, result.total_frames);
   result.fleet_mean_ssim = mean(ssim_sum, result.total_frames);
   result.fleet_mean_quality = mean(quality_sum, result.encoded_frames);
+}
 
-  control.admission_effort(plane.scan_stats(), plane.split_count());
-
-  // ----- Per-shard outcomes (the report layers render them only when
-  // the plane is actually sharded, keeping single-shard output stable).
-  result.shards = plane.num_shards();
-  result.shard_outcomes.resize(static_cast<std::size_t>(plane.num_shards()));
+/// Observability finalize: the control plane's admission effort and
+/// per-shard accounting (the report layers render shards only when
+/// the plane is actually sharded, keeping single-shard output stable),
+/// then the sinks' merge into `result`.
+void finalize(const ShardedControlPlane& plane, const FarmConfig& config,
+              FarmSinks& sinks, FarmResult& result) {
+  sinks.control().admission_effort(plane.scan_stats(), plane.split_count());
   for (int s = 0; s < plane.num_shards(); ++s) {
     ShardOutcome& o = result.shard_outcomes[static_cast<std::size_t>(s)];
     o.first_processor = plane.shard_base(s);
     o.num_processors = plane.shard_size(s);
-    const ShardStats& st = plane.shard_stats(s);
-    o.admitted = st.admitted;
-    o.probe_admits = st.probe_admits;
-    o.rejected = st.rejected;
-    o.migrations_in = st.migrations_in;
-    o.migrations_out = st.migrations_out;
+    o.stats = plane.shard_stats(s);
     o.demand_tests = plane.shard_scan_stats(s).demand_tests;
-    o.peak_committed_utilization =
-        shard_peaks[static_cast<std::size_t>(s)];
   }
   sinks.finish(config, &result);
+}
+
+}  // namespace
+
+FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
+  QC_EXPECT(config.num_processors >= 1, "farm needs >= 1 processor");
+  QC_EXPECT(config.control_epoch >= 0,
+            "control epoch must be non-negative");
+  for (const FailureEvent& ev : scenario.faults.failures) {
+    QC_EXPECT(ev.processor >= 0 && ev.processor < config.num_processors,
+              "failure event targets a processor outside the farm");
+    QC_EXPECT(ev.time >= 0 && ev.repair >= 0,
+              "failure event times must be non-negative");
+  }
+  TableCache tables(platform::figure5_cost_table());
+  ShardedControlPlane plane(
+      config.num_processors,
+      ShardPlaneConfig{config.shards, config.probe_shards,
+                       config.rebalance_watermark},
+      config.admission, &tables, scenario.sched);
+  // Observability: one event sink per virtual processor plus the
+  // sequential control plane's, merged in index order by finalize, so
+  // every output is independent of the worker count.
+  FarmSinks sinks(config, plane.num_shards());
+
+  FarmResult result =
+      ControlPlane{scenario, config, plane, sinks.control()}.run();
+  std::vector<StreamRun> runs =
+      run_data_plane(scenario, config, plane, sinks, result);
+  stitch(config, std::move(runs), result);
+  finalize(plane, config, sinks, result);
   return result;
 }
 

@@ -56,6 +56,15 @@
 //    Event ordering at equal instants is fixed (completions, then
 //    blackout transitions, then arrivals, then preemption/dispatch
 //    decisions), so a run is a pure function of (scenario, config).
+//
+// run_farm runs four stages, each handing the next an explicit value:
+// the control plane returns the FarmResult with placements, budget
+// epochs, failover segments, failure outcomes and committed peaks;
+// the data plane returns one StreamRun per stream (frame records,
+// per-segment tallies with the C=D handoff buffer, the policer's
+// ladder); the stitch folds those into per-stream outcomes, recovery
+// latencies and fleet aggregates in one pass; finalize adds the
+// per-shard accounting and merges the event sinks.
 #pragma once
 
 #include <vector>
@@ -63,6 +72,7 @@
 #include "farm/admission.h"
 #include "farm/faults.h"
 #include "farm/scenario.h"
+#include "farm/shard.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
@@ -213,12 +223,8 @@ struct ProcessorOutcome {
 struct ShardOutcome {
   int first_processor = 0;  ///< global index of the shard's first processor
   int num_processors = 0;
-  long long admitted = 0;      ///< placements landed on this shard
-  long long probe_admits = 0;  ///< ...of which arrived by probing
-  long long rejected = 0;      ///< rejects charged as the preferred shard
-  long long migrations_in = 0;   ///< rebalancer arrivals
-  long long migrations_out = 0;  ///< rebalancer departures
-  long long demand_tests = 0;    ///< schedulability tests this shard ran
+  ShardStats stats;  ///< admissions, probe admits, rejects, migrations
+  long long demand_tests = 0;  ///< schedulability tests this shard ran
   double peak_committed_utilization = 0.0;
 };
 
@@ -322,8 +328,9 @@ struct FarmResult {
 
 /// The budget-epoch list renegotiations currently apply to: the base
 /// placement's until a failover, then the latest failover segment's.
-inline const std::vector<BudgetEpoch>& active_epochs(
-    const StreamOutcome& so) {
+/// `Outcome` is StreamOutcome, const or not.
+template <typename Outcome>
+auto& active_epochs(Outcome& so) {
   return so.failover.empty() ? so.epochs : so.failover.back().epochs;
 }
 

@@ -153,8 +153,8 @@ TEST(ShardPlaneTest, RebalancerConservesStreams) {
   long long in = 0, out = 0;
   ASSERT_EQ(r.shard_outcomes.size(), 2u);
   for (const ShardOutcome& so : r.shard_outcomes) {
-    in += so.migrations_in;
-    out += so.migrations_out;
+    in += so.stats.migrations_in;
+    out += so.stats.migrations_out;
   }
   EXPECT_EQ(in, r.rebalance_migrations);
   EXPECT_EQ(out, r.rebalance_migrations);
