@@ -60,11 +60,11 @@
 // run_farm runs four stages, each handing the next an explicit value:
 // the control plane returns the FarmResult with placements, budget
 // epochs, failover segments, failure outcomes and committed peaks;
-// the data plane returns one StreamRun per stream (frame records,
-// per-segment tallies with the C=D handoff buffer, the policer's
-// ladder); the stitch folds those into per-stream outcomes, recovery
-// latencies and fleet aggregates in one pass; finalize adds the
-// per-shard accounting and merges the event sinks.
+// the data plane returns one StreamRun per admitted stream (frame
+// records, per-segment tallies with the C=D handoff buffer, the
+// policer's ladder); the stitch folds those into per-stream outcomes,
+// recovery latencies and fleet aggregates in one pass; finalize adds
+// the per-shard accounting and merges the event sinks.
 #pragma once
 
 #include <vector>
