@@ -746,6 +746,8 @@ struct ControlPlane {
   const FarmConfig& config;
   ShardedControlPlane& plane;
   EventSink& control;
+  // Run state, brace-initialized so ControlPlane{...} names only the
+  // four references above without -Wmissing-field-initializers.
   FarmResult result{};
   std::map<int, StreamOutcome*> by_id{};
   using Leave = std::pair<rt::Cycles, int>;  // (leave time, stream id)
