@@ -60,6 +60,15 @@ AdmissionController::AdmissionController(int num_processors,
   demand_.resize(static_cast<std::size_t>(num_processors));
 }
 
+namespace {
+
+/// One commitment's term of a processor's utilization fold.
+double util_term(rt::Cycles cost, rt::Cycles period) {
+  return static_cast<double>(cost) / static_cast<double>(period);
+}
+
+}  // namespace
+
 AdmissionController::CachedDemand& AdmissionController::demand(
     int p) const {
   CachedDemand& d = demand_[static_cast<std::size_t>(p)];
@@ -68,12 +77,13 @@ AdmissionController::CachedDemand& AdmissionController::demand(
     d.tasks.clear();
     d.tasks.reserve(cs.size() + 1);
     d.util = 0.0;
+    d.shrink_floor_util = 0.0;
     for (const Commitment& c : cs) {
       d.tasks.push_back(c.task);
       // Same left-fold addition order as a fresh np_utilization scan
       // over the same task order: cap comparisons stay bit-identical.
-      d.util += static_cast<double>(c.task.cost) /
-                static_cast<double>(c.task.period);
+      d.util += util_term(c.task.cost, c.task.period);
+      d.shrink_floor_util += util_term(c.shrink_floor_cost(), c.task.period);
     }
     d.busy_hint = 0;
     d.dirty = false;
@@ -83,25 +93,44 @@ AdmissionController::CachedDemand& AdmissionController::demand(
 
 void AdmissionController::demand_invalidate(int p) {
   demand_[static_cast<std::size_t>(p)].dirty = true;
-  unpreferred_dirty_ = true;
+  loads_changed();
 }
 
-void AdmissionController::demand_append(int p,
-                                        const sched::NpTask& task) {
+void AdmissionController::demand_append(int p, const Commitment& c) {
   CachedDemand& d = demand_[static_cast<std::size_t>(p)];
   if (!d.dirty) {
-    d.tasks.push_back(task);
-    d.util += static_cast<double>(task.cost) /
-              static_cast<double>(task.period);
+    d.tasks.push_back(c.task);
+    d.util += util_term(c.task.cost, c.task.period);
+    d.shrink_floor_util += util_term(c.shrink_floor_cost(), c.task.period);
   }
   // The admitting test ran over exactly the new committed set, so its
   // busy length is this set's true busy length — the best warm seed.
   d.busy_hint = last_test_busy_;
+  loads_changed();
+}
+
+void AdmissionController::move_rung(int p, std::size_t i, std::size_t rung) {
+  CachedDemand& d = demand(p);
+  Commitment& c = committed_[static_cast<std::size_t>(p)][i];
+  c.rung = rung;
+  c.task.cost = c.budget() + c.migration_surcharge;
+  d.tasks[i].cost = c.task.cost;
+  // A term changed mid-fold: refold, so the sum stays bit-identical
+  // to a rebuild.
+  d.util = 0.0;
+  for (const sched::NpTask& t : d.tasks) d.util += util_term(t.cost, t.period);
+  d.busy_hint = 0;
+  loads_changed();
+}
+
+void AdmissionController::loads_changed() const {
   unpreferred_dirty_ = true;
+  least_loaded_ = -1;
 }
 
 void AdmissionController::fail_processor(int processor) {
   failed_.at(static_cast<std::size_t>(processor)) = true;
+  loads_changed();
 }
 
 bool AdmissionController::processor_failed(int processor) const {
@@ -121,24 +150,20 @@ std::vector<int> AdmissionController::resident_stream_ids(
 
 std::vector<CertifiedRung> AdmissionController::certified_ladder(
     int macroblocks, rt::Cycles latency, rt::Cycles period) {
-  std::vector<CertifiedRung> ladder;
-  for (const rt::Cycles b :
-       controlled_candidates(macroblocks, latency, period)) {
-    auto system = tables_->get(macroblocks, b);
-    if (system->tables->max_initial_delay() < 0) continue;
-    ladder.push_back(CertifiedRung{b, std::move(system)});
+  Ladder& l = ladder(macroblocks, latency, period);
+  std::vector<CertifiedRung> out;
+  for (std::size_t i = 0; i < l.budgets.size(); ++i) {
+    if (certified(l, i)) {
+      out.push_back(CertifiedRung{l.budgets[i], l.systems[i]});
+    }
   }
-  return ladder;
+  return out;
 }
 
 double AdmissionController::committed_utilization(int processor) const {
-  const auto& cs = committed_.at(static_cast<std::size_t>(processor));
-  double u = 0.0;
-  for (const Commitment& c : cs) {
-    u += static_cast<double>(c.task.cost) /
-         static_cast<double>(c.task.period);
-  }
-  return u;
+  QC_EXPECT(processor >= 0 && processor < num_processors(),
+            "processor index out of range");
+  return demand(processor).util;
 }
 
 int AdmissionController::committed_streams(int processor) const {
@@ -147,6 +172,7 @@ int AdmissionController::committed_streams(int processor) const {
 }
 
 int AdmissionController::least_loaded() const {
+  if (least_loaded_ >= 0) return least_loaded_;
   int best = -1;
   double best_u = 0.0;
   for (int p = 0; p < num_processors(); ++p) {
@@ -157,16 +183,15 @@ int AdmissionController::least_loaded() const {
       best_u = u;
     }
   }
-  return best < 0 ? 0 : best;
+  least_loaded_ = best < 0 ? 0 : best;
+  return least_loaded_;
 }
 
 bool AdmissionController::fits(int p, const sched::NpTask& candidate) const {
   if (failed_[static_cast<std::size_t>(p)]) return false;
   CachedDemand& d = demand(p);
   // Candidate last, exactly where the old full rebuild put it.
-  const double util =
-      d.util + static_cast<double>(candidate.cost) /
-                   static_cast<double>(candidate.period);
+  const double util = d.util + util_term(candidate.cost, candidate.period);
   if (util > config_.utilization_cap) return false;
   d.tasks.push_back(candidate);
   last_test_busy_ = 0;
@@ -177,17 +202,18 @@ bool AdmissionController::fits(int p, const sched::NpTask& candidate) const {
   return ok;
 }
 
-const std::vector<rt::Cycles>& AdmissionController::controlled_candidates(
-    int macroblocks, rt::Cycles latency, rt::Cycles period) const {
-  if (macroblocks == cand_mb_ && latency == cand_latency_ &&
-      period == cand_period_) {
-    return cand_cache_;
-  }
+AdmissionController::Ladder& AdmissionController::ladder(int macroblocks,
+                                                         rt::Cycles latency,
+                                                         rt::Cycles period) {
+  const auto [it, fresh] =
+      ladders_.try_emplace(std::make_tuple(macroblocks, latency, period));
+  Ladder& l = it->second;
+  if (!fresh) return l;
   // Candidate service budgets, richest first; rounded down to a
   // multiple of the macroblock count so the evenly paced deadlines
   // divide exactly, with the qmin-minimal budget as last resort.
   const rt::Cycles min_budget = tables_->min_budget(macroblocks);
-  std::vector<rt::Cycles> candidates;
+  std::vector<rt::Cycles>& candidates = l.budgets;
   const double share_cap =
       config_.max_stream_share * static_cast<double>(period);
   auto add_candidate = [&](double cycles) {
@@ -209,36 +235,42 @@ const std::vector<rt::Cycles>& AdmissionController::controlled_candidates(
             std::greater<rt::Cycles>());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  cand_mb_ = macroblocks;
-  cand_latency_ = latency;
-  cand_period_ = period;
-  cand_cache_ = std::move(candidates);
-  return cand_cache_;
+  l.macroblocks = macroblocks;
+  l.systems.resize(candidates.size());
+  l.certifies.resize(candidates.size(), false);
+  return l;
 }
 
-void AdmissionController::commit_and_fill(
-    const StreamSpec& spec, const sched::NpTask& task,
-    rt::Cycles table_budget, int p, int preferred,
-    std::shared_ptr<const enc::EncoderSystem> system, Placement* out) {
+bool AdmissionController::certified(Ladder& l, std::size_t i) {
+  if (l.systems[i] == nullptr) {
+    l.systems[i] = tables_->get(l.macroblocks, l.budgets[i]);
+    l.certifies[i] = l.systems[i]->tables->max_initial_delay() >= 0;
+  }
+  return l.certifies[i];
+}
+
+void AdmissionController::commit_and_fill(const StreamSpec& spec,
+                                          const Candidate& cand,
+                                          const sched::NpTask& task, int p,
+                                          int preferred, Placement* out) {
   Commitment c;
   c.stream_id = spec.id;
   c.task = task;
-  c.controlled = spec.mode == pipe::ControlMode::kControlled;
-  c.macroblocks = macroblocks_of(spec);
-  c.table_budget = table_budget;
-  c.min_budget = tables_->min_budget(c.macroblocks);
-  c.desired_budget = table_budget;
+  c.ladder = cand.ladder;
+  c.rung = cand.rung;
+  c.admitted_rung = cand.rung;
   c.migration_surcharge = p != preferred ? config_.migration_cost : 0;
-  committed_[static_cast<std::size_t>(p)].push_back(std::move(c));
+  committed_[static_cast<std::size_t>(p)].push_back(c);
   host_of_[spec.id].push_back(p);
-  demand_append(p, task);
+  demand_append(p, c);
+  const auto& system = *cand.system;
   out->admitted = true;
   out->processor = p;
   out->committed_cost = task.cost;
-  out->table_budget = table_budget;
+  out->table_budget = cand.table_budget;
   out->migrated = p != preferred;
   out->initial_quality = system->tables->initial_quality();
-  out->system = std::move(system);
+  out->system = system;
 }
 
 const std::vector<int>& AdmissionController::unpreferred_order() const {
@@ -257,14 +289,19 @@ const std::vector<int>& AdmissionController::unpreferred_order() const {
 }
 
 bool AdmissionController::try_place(const StreamSpec& spec,
-                                    rt::Cycles table_budget, rt::Cycles cost,
-                                    int preferred, Placement* out) {
-  // Certify the budget against the stream's compiled slack tables:
-  // paced over table_budget from service start, the qmin worst case
-  // must be schedulable (max_initial_delay >= 0).  Processor-
-  // independent, so check it once before any demand test.
-  const auto& system = tables_->get(macroblocks_of(spec), table_budget);
-  if (system->tables->max_initial_delay() < 0) return false;
+                                    const Candidate& cand, int preferred,
+                                    Placement* out) {
+  const rt::Cycles period = period_of(spec);
+  // The whole-sweep cap bound (see the declaration).  least_loaded()
+  // names a failed processor only when every processor has failed.
+  const int least = least_loaded();
+  if (failed_[static_cast<std::size_t>(least)]) return false;
+  const rt::Cycles cheapest =
+      cand.cost + (preferred < 0 ? config_.migration_cost : 0);
+  if (demand(least).util + util_term(cheapest, period) >
+      config_.utilization_cap) {
+    return false;
+  }
 
   static const std::vector<int> kNoOrder;
   const std::vector<int>& unpreferred =
@@ -279,96 +316,98 @@ bool AdmissionController::try_place(const StreamSpec& spec,
                       : (k == 0 ? preferred
                                 : (k - 1 < preferred ? k - 1 : k));
     const sched::NpTask task{
-        cost + (p != preferred ? config_.migration_cost : 0),
-        latency_of(spec), period_of(spec)};
+        cand.cost + (p != preferred ? config_.migration_cost : 0),
+        latency_of(spec), period};
     if (!fits(p, task)) continue;
-    commit_and_fill(spec, task, table_budget, p, preferred, system, out);
+    commit_and_fill(spec, cand, task, p, preferred, out);
     return true;
   }
   return false;
 }
 
 bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
-                                                  rt::Cycles table_budget,
-                                                  rt::Cycles cost,
+                                                  const Candidate& cand,
                                                   int preferred,
                                                   Placement* out) {
-  const auto& system = tables_->get(macroblocks_of(spec), table_budget);
-  if (system->tables->max_initial_delay() < 0) return false;
-
   static const std::vector<int> kNoOrder;
   // Bound once, like the old per-call snapshot: shrinks inside the
   // loop dirty the cache but nothing re-reads it until the next admit.
   const std::vector<int>& unpreferred =
       preferred < 0 ? unpreferred_order() : kNoOrder;
+  std::vector<std::size_t> saved_rungs;
   for (int k = 0; k < num_processors(); ++k) {
     const int p = preferred < 0
                       ? unpreferred[static_cast<std::size_t>(k)]
                       : (k == 0 ? preferred
                                 : (k - 1 < preferred ? k - 1 : k));
     const sched::NpTask task{
-        cost + (p != preferred ? config_.migration_cost : 0),
+        cand.cost + (p != preferred ? config_.migration_cost : 0),
         latency_of(spec), period_of(spec)};
+    // The shrink-floor skip (see the declaration): nothing to shrink
+    // can make room here, so leave the processor untouched.
+    if (failed_[static_cast<std::size_t>(p)]) continue;
+    CachedDemand& d = demand(p);
+    if (d.shrink_floor_util + util_term(task.cost, task.period) >
+        config_.utilization_cap) {
+      continue;
+    }
     auto& cs = committed_[static_cast<std::size_t>(p)];
-    const std::vector<Commitment> saved = cs;
+    saved_rungs.clear();
+    for (const Commitment& c : cs) saved_rungs.push_back(c.rung);
+    const rt::Cycles saved_hint = d.busy_hint;
 
     // Shrink incumbents until the newcomer fits: pick the controlled
     // commitment with the largest budget headroom (ties to the lowest
-    // stream id) and move it one certified ladder step down.  Every
-    // step strictly lowers a budget, so the loop terminates; shrinking
+    // stream id) and move it one certified ladder rung down (to the
+    // qmin minimum when no certified rung lies between).  Every step
+    // strictly lowers a budget, so the loop terminates; shrinking
     // only removes demand, so the surviving set stays schedulable.
     bool ok = fits(p, task);
     while (!ok) {
-      Commitment* victim = nullptr;
-      for (Commitment& c : cs) {
-        if (!c.controlled || c.table_budget <= c.min_budget) continue;
-        if (victim == nullptr ||
-            c.table_budget - c.min_budget >
-                victim->table_budget - victim->min_budget ||
-            (c.table_budget - c.min_budget ==
-                 victim->table_budget - victim->min_budget &&
-             c.stream_id < victim->stream_id)) {
-          victim = &c;
+      std::size_t victim = cs.size();
+      rt::Cycles victim_headroom = 0;
+      for (std::size_t i = 0; i < cs.size(); ++i) {
+        const Commitment& c = cs[i];
+        if (c.ladder == nullptr || c.rung == c.ladder->last()) continue;
+        const rt::Cycles headroom = c.budget() - c.ladder->budgets.back();
+        if (victim == cs.size() || headroom > victim_headroom ||
+            (headroom == victim_headroom &&
+             c.stream_id < cs[victim].stream_id)) {
+          victim = i;
+          victim_headroom = headroom;
         }
       }
-      if (victim == nullptr) break;  // all headroom exhausted
+      if (victim == cs.size()) break;  // all headroom exhausted
 
-      rt::Cycles next = victim->min_budget;
-      for (const rt::Cycles b : controlled_candidates(
-               victim->macroblocks, victim->task.deadline,
-               victim->task.period)) {
-        if (b >= victim->table_budget) continue;
-        if (tables_->get(victim->macroblocks, b)
-                ->tables->max_initial_delay() < 0) {
-          continue;  // uncertifiable rung: keep descending
-        }
-        next = b;
-        break;
-      }
-      victim->table_budget = next;
-      victim->task.cost = next + victim->migration_surcharge;
-      demand_invalidate(p);
+      Ladder& l = *cs[victim].ladder;
+      std::size_t next = cs[victim].rung + 1;
+      while (!certified(l, next) && next < l.last()) ++next;
+      move_rung(p, victim, next);
       ok = fits(p, task);
     }
     if (!ok) {
-      cs = saved;  // roll back this processor's shrinks
-      demand_invalidate(p);
+      // Roll back this processor's shrinks; the set is again the one
+      // the busy hint was computed for.
+      for (std::size_t i = 0; i < cs.size(); ++i) {
+        if (cs[i].rung != saved_rungs[i]) move_rung(p, i, saved_rungs[i]);
+      }
+      d.busy_hint = saved_hint;
       continue;
     }
 
     // Record one shrink per incumbent whose budget actually moved.
     for (std::size_t i = 0; i < cs.size(); ++i) {
-      if (cs[i].table_budget == saved[i].table_budget) continue;
+      if (cs[i].rung == saved_rungs[i]) continue;
       BudgetRenegotiation r;
       r.stream_id = cs[i].stream_id;
       r.effective_time = spec.join_time;
-      r.table_budget = cs[i].table_budget;
+      r.table_budget = cs[i].budget();
       r.committed_cost = cs[i].task.cost;
-      r.system = tables_->get(cs[i].macroblocks, cs[i].table_budget);
+      r.system = cs[i].ladder->systems[cs[i].rung];
       pending_renegotiations_.push_back(std::move(r));
     }
 
-    commit_and_fill(spec, task, table_budget, p, preferred, system, out);
+    commit_and_fill(spec, cand, task, p, preferred, out);
     out->via_renegotiation = true;
     return true;
   }
@@ -376,12 +415,10 @@ bool AdmissionController::try_place_renegotiating(const StreamSpec& spec,
 }
 
 bool AdmissionController::try_place_split(const StreamSpec& spec,
-                                          rt::Cycles table_budget,
-                                          rt::Cycles cost, Placement* out) {
+                                          const Candidate& cand,
+                                          Placement* out) {
+  const rt::Cycles cost = cand.cost;
   if (!sched_.split || num_processors() < 2 || cost < 2) return false;
-  const int mb = macroblocks_of(spec);
-  const auto& system = tables_->get(mb, table_budget);
-  if (system->tables->max_initial_delay() < 0) return false;
 
   const rt::Cycles latency = latency_of(spec);
   const rt::Cycles period = period_of(spec);
@@ -418,20 +455,12 @@ bool AdmissionController::try_place_split(const StreamSpec& spec,
       if (failed_[static_cast<std::size_t>(b)]) continue;
       if (!fits(b, tail)) continue;
 
-      const sched::NpTask head_task{head, head, period};
-      Commitment piece;
+      Commitment piece;  // no ladder: split pieces never renegotiate
       piece.stream_id = spec.id;
-      piece.task = head_task;
-      piece.controlled = false;  // split pieces never renegotiate
-      piece.macroblocks = mb;
-      piece.table_budget = table_budget;
-      piece.min_budget = tables_->min_budget(mb);
-      piece.desired_budget = table_budget;
-      piece.migration_surcharge = 0;
+      piece.task = sched::NpTask{head, head, period};
       committed_[static_cast<std::size_t>(a)].push_back(piece);
       demand_invalidate(a);
       piece.task = tail;
-      piece.migration_surcharge = config_.migration_cost;
       committed_[static_cast<std::size_t>(b)].push_back(piece);
       demand_invalidate(b);
       auto& hosts = host_of_[spec.id];
@@ -446,10 +475,10 @@ bool AdmissionController::try_place_split(const StreamSpec& spec,
       out->head_cost = head;
       out->tail_cost = tail.cost;
       out->committed_cost = head + tail.cost;
-      out->table_budget = table_budget;
+      out->table_budget = cand.table_budget;
       out->migrated = true;  // the frame crosses processors each period
-      out->initial_quality = system->tables->initial_quality();
-      out->system = system;
+      out->initial_quality = (*cand.system)->tables->initial_quality();
+      out->system = *cand.system;
       return true;
     }
   }
@@ -470,11 +499,15 @@ Placement AdmissionController::admit(const StreamSpec& spec,
   const rt::Cycles min_budget = tables_->min_budget(mb);
 
   if (spec.mode == pipe::ControlMode::kControlled) {
-    const std::vector<rt::Cycles> candidates =
-        controlled_candidates(mb, latency, period_of(spec));
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (try_place(spec, candidates[i], candidates[i], preferred_processor,
-                    &out)) {
+    Ladder& l = ladder(mb, latency, period_of(spec));
+    for (std::size_t i = 0; i < l.budgets.size(); ++i) {
+      // Certify the budget against the stream's compiled slack tables:
+      // paced over it from service start, the qmin worst case must be
+      // schedulable (max_initial_delay >= 0).  Processor-independent,
+      // so check it once before any demand test.
+      if (!certified(l, i)) continue;
+      const Candidate cand{l.budgets[i], l.budgets[i], &l.systems[i], &l, i};
+      if (try_place(spec, cand, preferred_processor, &out)) {
         out.degraded = i > 0;
         return out;
       }
@@ -482,7 +515,7 @@ Placement AdmissionController::admit(const StreamSpec& spec,
       // processor can host whole may still fit as head + tail pieces,
       // keeping the stream at this quality instead of dropping to the
       // next candidate.
-      if (try_place_split(spec, candidates[i], candidates[i], &out)) {
+      if (try_place_split(spec, cand, &out)) {
         out.degraded = i > 0;
         return out;
       }
@@ -492,13 +525,17 @@ Placement AdmissionController::admit(const StreamSpec& spec,
     // and always certifiable — which minimizes the shrink imposed on
     // incumbents.  Schedulability is monotone in the newcomer's cost,
     // so if that fails, every richer candidate fails too.
-    if (sched_.renegotiate && !candidates.empty() &&
-        try_place_renegotiating(spec, candidates.back(), candidates.back(),
-                                preferred_processor, &out)) {
-      out.degraded = candidates.size() > 1;
+    if (sched_.renegotiate && !l.budgets.empty() &&
+        certified(l, l.last()) &&
+        try_place_renegotiating(
+            spec,
+            Candidate{l.budgets.back(), l.budgets.back(),
+                      &l.systems.back(), &l, l.last()},
+            preferred_processor, &out)) {
+      out.degraded = l.budgets.size() > 1;
       return out;
     }
-    out.reason = candidates.empty()
+    out.reason = l.budgets.empty()
                      ? "latency window below the qmin worst case"
                      : "no processor can host any candidate budget";
     return out;
@@ -526,11 +563,16 @@ Placement AdmissionController::admit(const StreamSpec& spec,
     out.reason = "worst-case frame cost exceeds the latency window";
     return out;
   }
-  if (try_place(spec, table_budget, cost, preferred_processor, &out) ||
-      try_place_split(spec, table_budget, cost, &out) ||
+  const auto& system = tables_->get(mb, table_budget);
+  if (system->tables->max_initial_delay() < 0) {
+    out.reason = "no processor can host the worst-case frame cost";
+    return out;
+  }
+  const Candidate cand{table_budget, cost, &system};
+  if (try_place(spec, cand, preferred_processor, &out) ||
+      try_place_split(spec, cand, &out) ||
       (sched_.renegotiate &&
-       try_place_renegotiating(spec, table_budget, cost,
-                               preferred_processor, &out))) {
+       try_place_renegotiating(spec, cand, preferred_processor, &out))) {
     // The slack-table prediction does not apply: an uncontrolled
     // stream encodes at its fixed level (resp. wherever feedback
     // drives it), not at what the tables would grant.
@@ -592,70 +634,55 @@ void AdmissionController::restore_pass(int p, rt::Cycles now) {
   // retires a stream, so the loop terminates.
   auto& cs = committed_[static_cast<std::size_t>(p)];
   std::vector<bool> retired(cs.size(), false);
-  std::vector<rt::Cycles> grown_from(cs.size(), 0);
+  std::vector<std::size_t> grown_from(cs.size(), 0);
   std::vector<bool> grown(cs.size(), false);
   for (;;) {
     std::size_t victim = cs.size();
+    rt::Cycles victim_deficit = 0;
     for (std::size_t i = 0; i < cs.size(); ++i) {
       const Commitment& c = cs[i];
-      if (retired[i] || !c.controlled ||
-          c.table_budget >= c.desired_budget) {
+      if (retired[i] || c.ladder == nullptr || c.rung == c.admitted_rung) {
         continue;
       }
-      if (victim == cs.size() ||
-          c.desired_budget - c.table_budget >
-              cs[victim].desired_budget - cs[victim].table_budget ||
-          (c.desired_budget - c.table_budget ==
-               cs[victim].desired_budget - cs[victim].table_budget &&
+      const rt::Cycles deficit =
+          c.ladder->budgets[c.admitted_rung] - c.budget();
+      if (victim == cs.size() || deficit > victim_deficit ||
+          (deficit == victim_deficit &&
            c.stream_id < cs[victim].stream_id)) {
         victim = i;
+        victim_deficit = deficit;
       }
     }
     if (victim == cs.size()) break;  // nothing left below its target
 
-    Commitment& c = cs[victim];
-    // Smallest certified rung strictly above the current budget (the
-    // candidate ladder is sorted richest first), capped at the budget
-    // the stream was admitted with.
-    rt::Cycles next = c.desired_budget;
-    for (const rt::Cycles b :
-         controlled_candidates(c.macroblocks, c.task.deadline,
-                               c.task.period)) {
-      if (b <= c.table_budget || b > c.desired_budget) continue;
-      if (tables_->get(c.macroblocks, b)->tables->max_initial_delay() <
-          0) {
-        continue;  // uncertifiable rung
-      }
-      next = b;
-    }
-    const rt::Cycles saved_budget = c.table_budget;
-    const rt::Cycles saved_cost = c.task.cost;
-    c.table_budget = next;
-    c.task.cost = next + c.migration_surcharge;
-    demand_invalidate(p);
+    // Smallest certified rung above the current one (the ladder is
+    // richest first), capped at the rung the stream was admitted at.
+    Ladder& l = *cs[victim].ladder;
+    const std::size_t from = cs[victim].rung;
+    std::size_t next = from - 1;
+    while (next > cs[victim].admitted_rung && !certified(l, next)) --next;
+    move_rung(p, victim, next);
     if (!set_schedulable(p)) {
-      c.table_budget = saved_budget;
-      c.task.cost = saved_cost;
-      demand_invalidate(p);
+      move_rung(p, victim, from);
       retired[victim] = true;
       continue;
     }
     if (!grown[victim]) {
       grown[victim] = true;
-      grown_from[victim] = saved_budget;
+      grown_from[victim] = from;
     }
   }
 
   // One grow record per stream whose budget actually moved.
   for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (!grown[i] || cs[i].table_budget == grown_from[i]) continue;
+    if (!grown[i] || cs[i].rung == grown_from[i]) continue;
     BudgetRenegotiation r;
     r.stream_id = cs[i].stream_id;
     r.effective_time = now;
-    r.table_budget = cs[i].table_budget;
+    r.table_budget = cs[i].budget();
     r.committed_cost = cs[i].task.cost;
     r.grow = true;
-    r.system = tables_->get(cs[i].macroblocks, cs[i].table_budget);
+    r.system = cs[i].ladder->systems[cs[i].rung];
     pending_renegotiations_.push_back(std::move(r));
   }
 }

@@ -48,6 +48,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -238,7 +239,8 @@ class AdmissionController {
 
   /// The processor a newcomer should prefer: least committed
   /// utilization over the surviving processors, ties to the lowest
-  /// index (0 when every processor has failed).
+  /// index (0 when every processor has failed).  Cached between
+  /// commitment mutations.
   int least_loaded() const;
 
   /// Marks `processor` permanently failed: it hosts no new
@@ -262,21 +264,60 @@ class AdmissionController {
                                               rt::Cycles period);
 
  private:
+  /// The certified budget ladder of one controlled-stream contract
+  /// (macroblocks, latency window, period): the candidate budgets,
+  /// richest first, with the qmin minimum last.  A pure function of
+  /// the config and the cost tables, built once per contract and kept
+  /// at a stable address, so a commitment names its budget by rung
+  /// index and a shrink or grow step is an index move.  Each rung's
+  /// compiled system and certificate (max_initial_delay >= 0) are
+  /// filled in by the first certified() query, so a rung is compiled
+  /// exactly when a walk first needs to know whether it certifies.
+  struct Ladder {
+    int macroblocks = 0;
+    std::vector<rt::Cycles> budgets;
+    std::vector<std::shared_ptr<const enc::EncoderSystem>> systems;
+    std::vector<bool> certifies;
+    std::size_t last() const { return budgets.size() - 1; }
+  };
+
   struct Commitment {
     int stream_id = 0;
     sched::NpTask task;
-    /// Renegotiation state: only controlled streams can shrink (down
-    /// to min_budget) or be restored (up to desired_budget, the budget
-    /// they were originally admitted at).
-    bool controlled = false;
-    int macroblocks = 0;
-    rt::Cycles table_budget = 0;
-    rt::Cycles min_budget = 0;
-    rt::Cycles desired_budget = 0;
+    /// Renegotiation state of a controlled stream: its ladder, the rung
+    /// its reserved budget sits on, and the rung it was admitted at
+    /// (the restore pass's ceiling); shrinks stop at the ladder's last
+    /// rung, the qmin minimum.  Null for commitments that never change
+    /// budget: uncontrolled streams and C=D split pieces.
+    Ladder* ladder = nullptr;
+    std::size_t rung = 0;
+    std::size_t admitted_rung = 0;
     /// Migration surcharge folded into task.cost while the stream is
     /// hosted off its preferred processor; budget changes must
-    /// preserve it (task.cost = table_budget + surcharge).
+    /// preserve it (task.cost = budget + surcharge).
     rt::Cycles migration_surcharge = 0;
+
+    rt::Cycles budget() const { return ladder->budgets[rung]; }
+    /// task.cost with every possible shrink applied: the qmin minimum
+    /// plus surcharge for a controlled stream, task.cost otherwise.
+    /// Fixed for the commitment's whole life.
+    rt::Cycles shrink_floor_cost() const {
+      return ladder != nullptr
+                 ? ladder->budgets.back() + migration_surcharge
+                 : task.cost;
+    }
+  };
+
+  /// One (budget, cost) candidate reservation for a stream: the budget
+  /// its tables are paced over, its compiled system (already
+  /// certified), the committed cost before any migration surcharge,
+  /// and — when the commitment may later renegotiate — its ladder rung.
+  struct Candidate {
+    rt::Cycles table_budget = 0;
+    rt::Cycles cost = 0;
+    const std::shared_ptr<const enc::EncoderSystem>* system = nullptr;
+    Ladder* ladder = nullptr;
+    std::size_t rung = 0;
   };
 
   /// Incrementally maintained mirror of one processor's committed
@@ -284,16 +325,23 @@ class AdmissionController {
   /// duplicate committed_[p] (same order, utilization accumulated by
   /// the exact same left-fold addition sequence a fresh scan would
   /// perform, so cap comparisons are bit-identical to rebuilding);
-  /// `busy_hint` is a lower bound on the set's synchronous busy-period
-  /// length, used to warm-start QPA's fixpoint (sound per the
-  /// DemandQuery contract: it is refreshed from the demand test that
-  /// admitted the latest commitment, and reset whenever a commitment
-  /// shrinks or leaves).  A candidate is tested by push_back /
-  /// pop_back on `tasks` — no per-test rebuild of the whole set.
+  /// `shrink_floor_util` is the same fold over every commitment's
+  /// shrink_floor_cost() — the utilization the set would have if
+  /// renegotiation shrank every controlled resident to its qmin
+  /// minimum, which no shrink sequence can undercut.  `busy_hint` is
+  /// a lower bound on the set's synchronous busy-period length, used
+  /// to warm-start QPA's fixpoint (sound per the DemandQuery
+  /// contract: it is refreshed from the demand test that admitted the
+  /// latest commitment, reset whenever a budget shrinks or grows or a
+  /// commitment leaves, and put back when a renegotiation probe rolls
+  /// back to the set it was computed for).  A candidate is tested by
+  /// push_back / pop_back on `tasks` — no per-test rebuild of the
+  /// whole set.
   struct CachedDemand {
     bool dirty = true;
     std::vector<sched::NpTask> tasks;
     double util = 0.0;
+    double shrink_floor_util = 0.0;
     rt::Cycles busy_hint = 0;
   };
 
@@ -301,57 +349,76 @@ class AdmissionController {
   /// committed_[p] when a mutation marked it dirty).
   CachedDemand& demand(int p) const;
 
-  /// Marks `p`'s cache stale after any commitment mutation other than
-  /// a plain append (release, shrink, rollback, restore): the next
-  /// demand(p) rebuilds tasks + util and resets the busy hint.
+  /// Marks `p`'s cache stale after a commitment leaves or a split
+  /// piece lands: the next demand(p) rebuilds it and resets the busy
+  /// hint.
   void demand_invalidate(int p);
 
-  /// Appends the just-committed task to `p`'s cache and promotes the
+  /// Appends the just-committed `c` to `p`'s cache and promotes the
   /// busy length computed by the admitting demand test into the warm
   /// hint (that test ran over exactly the new committed set).
-  void demand_append(int p, const sched::NpTask& task);
+  void demand_append(int p, const Commitment& c);
+
+  /// Moves committed_[p][i] to `rung` of its ladder, updating its
+  /// task cost, the cache's task and utilization and resetting the
+  /// busy hint (the shrunk or grown set has a different busy period).
+  void move_rung(int p, std::size_t i, std::size_t rung);
 
   /// True when `candidate` fits processor `p` on top of its current
   /// commitments (policy demand test + utilization cap).
   bool fits(int p, const sched::NpTask& candidate) const;
 
-  /// Candidate service budgets for a controlled stream, richest first
-  /// (fractions of the latency window and multiples of the qmin
-  /// minimum, share-capped; the qmin minimum always last).  A pure
-  /// function of the config and the cost tables, memoized on the last
-  /// (macroblocks, latency, period) key: join storms share geometry,
-  /// so the ladder is built once per run, not once per verdict.  The
-  /// reference is invalidated by the next call with a different key.
-  const std::vector<rt::Cycles>& controlled_candidates(
-      int macroblocks, rt::Cycles latency, rt::Cycles period) const;
+  /// The ladder of a controlled-stream contract (see Ladder), built on
+  /// first use: fractions of the latency window and multiples of the
+  /// qmin minimum, share-capped, the qmin minimum always last.
+  Ladder& ladder(int macroblocks, rt::Cycles latency, rt::Cycles period);
 
-  /// Records the commitment of an accepted (budget, cost) candidate
-  /// on processor `p` and fills `out` (shared tail of the placement
-  /// paths).
-  void commit_and_fill(const StreamSpec& spec, const sched::NpTask& task,
-                       rt::Cycles table_budget, int p, int preferred,
-                       std::shared_ptr<const enc::EncoderSystem> system,
+  /// Whether rung `i` of `l` certifies the qmin worst case; compiles
+  /// the rung's system on the first query.
+  bool certified(Ladder& l, std::size_t i);
+
+  /// Records the commitment of an accepted candidate on processor `p`
+  /// (committed cost `task.cost`) and fills `out` (shared tail of the
+  /// placement paths).
+  void commit_and_fill(const StreamSpec& spec, const Candidate& cand,
+                       const sched::NpTask& task, int p, int preferred,
                        Placement* out);
 
-  /// Tries one (budget, cost) candidate on the preferred processor
-  /// first, then the others; commits and fills `out` on success.
-  /// With preferred = -1 the sweep runs least-loaded first and every
-  /// processor charges the migration surcharge.
-  bool try_place(const StreamSpec& spec, rt::Cycles table_budget,
-                 rt::Cycles cost, int preferred, Placement* out);
+  /// Tries one candidate on the preferred processor first, then the
+  /// others; commits and fills `out` on success.  With preferred = -1
+  /// the sweep runs least-loaded first and every processor charges the
+  /// migration surcharge.  Skips the sweep outright when even the
+  /// least-loaded live processor fails the utilization cap for the
+  /// cheapest task the sweep would test: every processor carries at
+  /// least that utilization and every task at least that cost, and
+  /// floating-point addition is monotone, so each fits() in the sweep
+  /// would be refused by the cap before any demand test.
+  bool try_place(const StreamSpec& spec, const Candidate& cand,
+                 int preferred, Placement* out);
 
-  /// Probe order for a stream with no preferred processor: ascending
-  /// (committed utilization, index).  Cached between commitment
-  /// mutations — a rejection sweep re-reads the same order per
-  /// candidate, so rebuilding it each time would be pure waste.
+  /// Processors by ascending (committed utilization, index): the probe
+  /// order for a stream with no preferred processor.  Cached between
+  /// commitment mutations — a rejection sweep re-reads the same order
+  /// per candidate, so rebuilding it each time would be pure waste.
   const std::vector<int>& unpreferred_order() const;
 
+  /// Marks unpreferred_order() and least_loaded() stale: called by every
+  /// commitment mutation hook and by fail_processor().
+  void loads_changed() const;
+
   /// Like try_place, but allowed to shrink running controlled
-  /// commitments (largest budget headroom first, one ladder step at a
-  /// time) until the candidate fits; rolls back on failure.  Appends
-  /// the imposed shrinks to pending_renegotiations_ on success.
-  bool try_place_renegotiating(const StreamSpec& spec,
-                               rt::Cycles table_budget, rt::Cycles cost,
+  /// commitments (largest budget headroom first, one ladder rung at a
+  /// time) until the candidate fits; rolls back on failure, restoring
+  /// the saved rungs and the processor's busy hint.  Skips a
+  /// processor without touching it when it has failed or when its
+  /// shrink_floor_util plus the candidate's term exceeds the cap: the
+  /// shrink loop's exhausted state is that same set, in the same
+  /// order, with the same costs, and every intermediate state's
+  /// utilization is at least as large (monotone addition), so the
+  /// loop would have run out of victims with the cap refusing every
+  /// fits() — no demand test, nothing kept.  Appends the imposed
+  /// shrinks to pending_renegotiations_ on success.
+  bool try_place_renegotiating(const StreamSpec& spec, const Candidate& cand,
                                int preferred, Placement* out);
 
   /// C=D semi-partitioning (SchedulingSpec::split): places the stream
@@ -361,15 +428,15 @@ class AdmissionController {
   /// head the first processor admits (binary search over the demand
   /// test).  Commits both pieces and fills `out` on success.  Split
   /// pieces are never renegotiated, restored, or ladder-downgraded.
-  bool try_place_split(const StreamSpec& spec, rt::Cycles table_budget,
-                       rt::Cycles cost, Placement* out);
+  bool try_place_split(const StreamSpec& spec, const Candidate& cand,
+                       Placement* out);
 
   /// The committed set of processor `p` is schedulable as-is (policy
   /// demand test + utilization cap, no candidate).
   bool set_schedulable(int p) const;
 
   /// Restore pass after a departure freed capacity on `p`: grow
-  /// previously-shrunk controlled commitments back toward the budget
+  /// previously-shrunk controlled commitments back toward the rung
   /// they were admitted at, largest deficit first, one certified
   /// ladder rung at a time, while the set stays schedulable.  Appends
   /// grow records (effective at `now`) to pending_renegotiations_.
@@ -391,16 +458,14 @@ class AdmissionController {
   /// Busy length reported by the most recent QPA test (0 under the
   /// exact scan, which neither needs nor feeds warm hints).
   mutable rt::Cycles last_test_busy_ = 0;
-  /// controlled_candidates memo (see its doc comment).
-  mutable int cand_mb_ = -1;
-  mutable rt::Cycles cand_latency_ = 0;
-  mutable rt::Cycles cand_period_ = 0;
-  mutable std::vector<rt::Cycles> cand_cache_;
-  /// unpreferred_order cache, marked stale by demand_append /
-  /// demand_invalidate — the same hooks every commitment mutation
-  /// already goes through.
+  /// Ladders by (macroblocks, latency, period); map nodes are stable,
+  /// so commitments point into it.
+  std::map<std::tuple<int, rt::Cycles, rt::Cycles>, Ladder> ladders_;
+  /// unpreferred_order and least_loaded caches, marked stale by
+  /// loads_changed().
   mutable std::vector<int> unpreferred_cache_;
   mutable bool unpreferred_dirty_ = true;
+  mutable int least_loaded_ = -1;  ///< -1: stale
   /// stream id -> processors holding one of its commitments (one
   /// entry per commit, so a C=D split records two).  Pure accelerator
   /// for release(): a leave touches only the hosting processors

@@ -310,12 +310,12 @@ TEST(AdmissionPinTest, DecisionsAndEffortArePinned) {
   EXPECT_EQ(decisions.h, 0x773969b1ee5f1999ULL) << std::hex << decisions.h;
   EXPECT_EQ(demand_tests.h, 0x65f2bee96d009414ULL)
       << std::hex << demand_tests.h;
-  EXPECT_EQ(busy_iterations.h, 0x3de51a47e12ef378ULL)
+  EXPECT_EQ(busy_iterations.h, 0x1476517f36003086ULL)
       << std::hex << busy_iterations.h;
   EXPECT_EQ(check_points.h, 0xf64fb88ac8093538ULL)
       << std::hex << check_points.h;
   EXPECT_EQ(qpa_points.h, 0x2ccc8d3305f6c9c7ULL) << std::hex << qpa_points.h;
-  EXPECT_EQ(tables_compiled.h, 0x7c64ae9f62816b75ULL)
+  EXPECT_EQ(tables_compiled.h, 0x411663e0e2dca6fbULL)
       << std::hex << tables_compiled.h;
 }
 
