@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <queue>
 #include <utility>
+#include <vector>
 
 #include "encoder/system_builder.h"
 #include "farm/load_gen.h"
@@ -631,6 +633,62 @@ BENCHMARK(BM_ShardedJoinRate)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// Join-storm renegotiation: the perfbench join-storm's admission alone.
+// A 6000-stream slice of its offered load (1-2 frame streams of
+// 16x16..48x32 joining every 0.002 periods) is played through one
+// AdmissionController on 64 processors with renegotiation and restore
+// on: leaves released in time order before each join, each newcomer
+// preferring the least-loaded processor.  The fleet fills within the
+// first few hundred joins, so most verdicts are rejections that probe
+// renegotiation on every processor.  items_per_second = admission
+// verdicts per wall-second.
+
+const farm::FarmScenario& renegotiation_storm() {
+  static const farm::FarmScenario scenario = [] {
+    farm::LoadGenConfig load;
+    load.num_streams = 6000;
+    load.resolutions = {{16, 16}, {32, 16}, {32, 32}, {48, 32}};
+    load.resolution_weights = {0.4, 0.3, 0.2, 0.1};
+    load.period_factors = {1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0};
+    load.buffer_capacities = {1, 2, 3};
+    load.min_frames = 1;
+    load.max_frames = 2;
+    load.mean_interarrival_periods = 0.002;
+    load.seed = 1;
+    farm::FarmScenario sc = farm::generate_scenario(load);
+    sc.sched.renegotiate = true;
+    sc.sched.restore = true;
+    return sc;
+  }();
+  return scenario;
+}
+
+void BM_RenegotiationStorm(benchmark::State& state) {
+  static farm::TableCache tables(platform::figure5_cost_table());
+  const farm::FarmScenario& scenario = renegotiation_storm();
+  using Leave = std::pair<rt::Cycles, int>;
+  long long verdicts = 0;
+  for (auto _ : state) {
+    farm::AdmissionController ctl(64, farm::AdmissionConfig{}, &tables,
+                                  scenario.sched);
+    std::priority_queue<Leave, std::vector<Leave>, std::greater<Leave>>
+        leaves;
+    for (const farm::StreamSpec& spec : scenario.streams) {
+      while (!leaves.empty() && leaves.top().first <= spec.join_time) {
+        ctl.release(leaves.top().second, leaves.top().first);
+        leaves.pop();
+      }
+      const farm::Placement pl = ctl.admit(spec, ctl.least_loaded());
+      if (pl.admitted) leaves.emplace(farm::leave_time_of(spec), spec.id);
+      benchmark::DoNotOptimize(ctl.take_renegotiations());
+    }
+    verdicts += static_cast<long long>(scenario.streams.size());
+  }
+  state.SetItemsProcessed(verdicts);
+}
+BENCHMARK(BM_RenegotiationStorm)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -38,6 +38,23 @@
 // overload into rejections (or shared degradation), never into
 // deadline misses on admitted streams.
 //
+// Renegotiation walks each contract's certified budget ladder by
+// index: the candidate budgets of a (macroblocks, latency, period)
+// contract are built once, each rung's system and certificate filled
+// in on first use, and a commitment keeps its ladder and rung, so a
+// shrink or grow step is an index move.  A rejected join is made cheap
+// by the shrink floor: each processor's demand cache also folds the
+// utilization it would carry with every controlled resident shrunk to
+// its qmin minimum (plus surcharge).  A processor whose shrink-floor
+// utilization plus the newcomer's term exceeds the cap is skipped
+// untouched.  That is exact: the shrink loop's exhausted state is that
+// same set in the same order, every intermediate state's left fold is
+// at least as large (monotone floating-point addition), so the loop
+// would have rolled back without a single demand test.  The same
+// bound skips a whole placement sweep when even the least-loaded live
+// processor fails the cap for the cheapest task it would test.  See
+// docs/admission.md.
+//
 // Streams without a compiled occupancy bound pay for it here:
 // constant-quality streams commit their fixed level's full worst case,
 // and feedback-controlled streams must be assumed to run at qmax —

@@ -47,6 +47,8 @@ import sys
 # ShardedJoinRate tracks the flash-crowd join storm on a 1024-processor
 # fleet at 1 and 64 shards: the pinned >= 10x sharded-vs-single join
 # rate lives in the ratio of these two rows (see docs/scenarios.md).
+# RenegotiationStorm tracks one controller's verdict rate on a
+# join-storm slice, where nearly every join is a renegotiation probe.
 # SyntheticFrame(Yuv) and EntropyEncodeBlock track the source renderer
 # and the block entropy coder, the two data-plane layers that dominate
 # a farm run's wall clock.
@@ -54,7 +56,7 @@ DEFAULT_BENCHMARKS = (
     r"^BM_(SadMacroblock|ForwardDct8|PsnrFrame|SsimFrame"
     r"|SyntheticFrame(Yuv)?|EntropyEncodeBlock"
     r"|AdmissionThroughput(Exact)?/\d+"
-    r"|ShardedJoinRate/\d+/real_time"
+    r"|ShardedJoinRate/\d+/real_time|RenegotiationStorm"
     r"|FarmThroughput(Preemptive|Quantum|Faults|Timeseries)?/\d+/real_time)$"
 )
 

@@ -15,9 +15,12 @@
 # and the sharded join storm (BM_ShardedJoinRate at 1 / 64 shards on a
 # 1024-processor fleet, items_per_second = admission verdicts per
 # wall-second on the pinned 10k-stream flash-crowd; the 64-shard row
-# must stay >= 10x the single-controller row), and the two data-plane
-# layers that dominate a farm run (BM_SyntheticFrame / BM_SyntheticFrameYuv,
-# the source renderer, and BM_EntropyEncodeBlock, the block coder) — is
+# must stay >= 10x the single-controller row), the join-storm
+# renegotiation path (BM_RenegotiationStorm, one controller on 64
+# processors, items_per_second = admission verdicts per wall-second),
+# and the two data-plane layers that dominate a farm run
+# (BM_SyntheticFrame / BM_SyntheticFrameYuv, the source renderer, and
+# BM_EntropyEncodeBlock, the block coder) — is
 # tracked across PRs.  The farm and join-storm rows are timed on the
 # wall clock; record the baseline on a multi-core machine, since the
 # gate warns when the current run's num_cpus differs from it.
@@ -34,7 +37,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DQOSCTRL_BUILD_BENCHES=ON \
 cmake --build "$BUILD_DIR" --target bench_micro -j "$(nproc)" >/dev/null
 
 "$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv)?|EntropyEncodeBlock|AdmissionThroughput(Exact)?|ShardedJoinRate|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
+    --benchmark_filter='BM_(SadMacroblock|HalfpelInterp|ForwardDct8|InverseDct8|MotionSearch|TableControllerDecision|PsnrFrame|SsimFrame|SyntheticFrame(Yuv)?|EntropyEncodeBlock|AdmissionThroughput(Exact)?|ShardedJoinRate|RenegotiationStorm|FarmThroughput(Preemptive|Quantum|Faults|Traced|Timeseries)?)' \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
