@@ -291,35 +291,39 @@ const std::vector<int>& AdmissionController::unpreferred_order() const {
 bool AdmissionController::try_place(const StreamSpec& spec,
                                     const Candidate& cand, int preferred,
                                     Placement* out) {
-  const rt::Cycles period = period_of(spec);
-  // The whole-sweep cap bound (see the declaration).  least_loaded()
-  // names a failed processor only when every processor has failed.
+  // An off-preferred host charges the migration surcharge on top of
+  // the stream's own worst case.
+  const auto task_on = [&](int p) {
+    return sched::NpTask{
+        cand.cost + (p != preferred ? config_.migration_cost : 0),
+        latency_of(spec), period_of(spec)};
+  };
+  if (preferred >= 0 && fits(preferred, task_on(preferred))) {
+    commit_and_fill(spec, cand, task_on(preferred), preferred, preferred,
+                    out);
+    return true;
+  }
+  // The whole-sweep cap bound (see the declaration); every host left
+  // pays the surcharge.  least_loaded() names a failed processor only
+  // when every processor has failed.
   const int least = least_loaded();
-  if (failed_[static_cast<std::size_t>(least)]) return false;
-  const rt::Cycles cheapest =
-      cand.cost + (preferred < 0 ? config_.migration_cost : 0);
-  if (demand(least).util + util_term(cheapest, period) >
-      config_.utilization_cap) {
+  if (failed_[static_cast<std::size_t>(least)] ||
+      demand(least).util +
+              util_term(cand.cost + config_.migration_cost, period_of(spec)) >
+          config_.utilization_cap) {
     return false;
   }
 
+  // The rest in index order, or with no preference (-1) least-loaded
+  // first.
   static const std::vector<int> kNoOrder;
   const std::vector<int>& unpreferred =
       preferred < 0 ? unpreferred_order() : kNoOrder;
-  for (int k = 0; k < num_processors(); ++k) {
-    // Preferred processor first, then the rest in index order; an
-    // off-preferred host charges the migration surcharge on top of
-    // the stream's own worst case.  With no preference (-1) the sweep
-    // runs least-loaded first and every host charges the surcharge.
-    const int p = preferred < 0
-                      ? unpreferred[static_cast<std::size_t>(k)]
-                      : (k == 0 ? preferred
-                                : (k - 1 < preferred ? k - 1 : k));
-    const sched::NpTask task{
-        cand.cost + (p != preferred ? config_.migration_cost : 0),
-        latency_of(spec), period};
-    if (!fits(p, task)) continue;
-    commit_and_fill(spec, cand, task, p, preferred, out);
+  for (int k = preferred < 0 ? 0 : 1; k < num_processors(); ++k) {
+    const int p = preferred < 0 ? unpreferred[static_cast<std::size_t>(k)]
+                                : (k - 1 < preferred ? k - 1 : k);
+    if (!fits(p, task_on(p))) continue;
+    commit_and_fill(spec, cand, task_on(p), p, preferred, out);
     return true;
   }
   return false;
@@ -500,14 +504,16 @@ Placement AdmissionController::admit(const StreamSpec& spec,
 
   if (spec.mode == pipe::ControlMode::kControlled) {
     Ladder& l = ladder(mb, latency, period_of(spec));
+    const auto rung = [&l](std::size_t i) {
+      return Candidate{l.budgets[i], l.budgets[i], &l.systems[i], &l, i};
+    };
     for (std::size_t i = 0; i < l.budgets.size(); ++i) {
       // Certify the budget against the stream's compiled slack tables:
       // paced over it from service start, the qmin worst case must be
       // schedulable (max_initial_delay >= 0).  Processor-independent,
       // so check it once before any demand test.
       if (!certified(l, i)) continue;
-      const Candidate cand{l.budgets[i], l.budgets[i], &l.systems[i], &l, i};
-      if (try_place(spec, cand, preferred_processor, &out)) {
+      if (try_place(spec, rung(i), preferred_processor, &out)) {
         out.degraded = i > 0;
         return out;
       }
@@ -515,7 +521,7 @@ Placement AdmissionController::admit(const StreamSpec& spec,
       // processor can host whole may still fit as head + tail pieces,
       // keeping the stream at this quality instead of dropping to the
       // next candidate.
-      if (try_place_split(spec, cand, &out)) {
+      if (try_place_split(spec, rung(i), &out)) {
         out.degraded = i > 0;
         return out;
       }
@@ -527,11 +533,8 @@ Placement AdmissionController::admit(const StreamSpec& spec,
     // so if that fails, every richer candidate fails too.
     if (sched_.renegotiate && !l.budgets.empty() &&
         certified(l, l.last()) &&
-        try_place_renegotiating(
-            spec,
-            Candidate{l.budgets.back(), l.budgets.back(),
-                      &l.systems.back(), &l, l.last()},
-            preferred_processor, &out)) {
+        try_place_renegotiating(spec, rung(l.last()), preferred_processor,
+                                &out)) {
       out.degraded = l.budgets.size() > 1;
       return out;
     }

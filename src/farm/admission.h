@@ -51,9 +51,9 @@
 // same set in the same order, every intermediate state's left fold is
 // at least as large (monotone floating-point addition), so the loop
 // would have rolled back without a single demand test.  The same
-// bound skips a whole placement sweep when even the least-loaded live
-// processor fails the cap for the cheapest task it would test.  See
-// docs/admission.md.
+// bound ends a placement sweep past the preferred processor when even
+// the least-loaded live processor fails the cap for the surcharged
+// task.  See docs/admission.md.
 //
 // Streams without a compiled occupancy bound pay for it here:
 // constant-quality streams commit their fixed level's full worst case,
@@ -404,19 +404,17 @@ class AdmissionController {
   /// Tries one candidate on the preferred processor first, then the
   /// others; commits and fills `out` on success.  With preferred = -1
   /// the sweep runs least-loaded first and every processor charges the
-  /// migration surcharge.  Skips the sweep outright when even the
-  /// least-loaded live processor fails the utilization cap for the
-  /// cheapest task the sweep would test: every processor carries at
-  /// least that utilization and every task at least that cost, and
-  /// floating-point addition is monotone, so each fits() in the sweep
-  /// would be refused by the cap before any demand test.
+  /// migration surcharge.  Skips the sweep past the preferred
+  /// processor when even the least-loaded live processor fails the
+  /// utilization cap for the surcharged task (exact: see the file
+  /// comment).
   bool try_place(const StreamSpec& spec, const Candidate& cand,
                  int preferred, Placement* out);
 
-  /// Processors by ascending (committed utilization, index): the probe
-  /// order for a stream with no preferred processor.  Cached between
-  /// commitment mutations — a rejection sweep re-reads the same order
-  /// per candidate, so rebuilding it each time would be pure waste.
+  /// Probe order for a stream with no preferred processor: ascending
+  /// (committed utilization, index).  Cached between commitment
+  /// mutations — a rejection sweep re-reads the same order per
+  /// candidate, so rebuilding it each time would be pure waste.
   const std::vector<int>& unpreferred_order() const;
 
   /// Marks unpreferred_order() and least_loaded() stale: called by every
@@ -427,14 +425,10 @@ class AdmissionController {
   /// commitments (largest budget headroom first, one ladder rung at a
   /// time) until the candidate fits; rolls back on failure, restoring
   /// the saved rungs and the processor's busy hint.  Skips a
-  /// processor without touching it when it has failed or when its
-  /// shrink_floor_util plus the candidate's term exceeds the cap: the
-  /// shrink loop's exhausted state is that same set, in the same
-  /// order, with the same costs, and every intermediate state's
-  /// utilization is at least as large (monotone addition), so the
-  /// loop would have run out of victims with the cap refusing every
-  /// fits() — no demand test, nothing kept.  Appends the imposed
-  /// shrinks to pending_renegotiations_ on success.
+  /// processor untouched when it has failed or when its
+  /// shrink_floor_util plus the candidate's term exceeds the cap
+  /// (exact: see the file comment).  Appends the imposed shrinks to
+  /// pending_renegotiations_ on success.
   bool try_place_renegotiating(const StreamSpec& spec, const Candidate& cand,
                                int preferred, Placement* out);
 
