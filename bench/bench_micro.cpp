@@ -593,14 +593,11 @@ BENCHMARK(BM_AdmissionThroughputExact)->Arg(1000)->Arg(10000);
 // Join-storm rate through the control-plane router: a pinned
 // 10k-stream flash-crowd preset offered to a 1024-processor fleet,
 // with the shard count as the argument.  The storm saturates the
-// fleet, so most joins are rejections — the regime where a single
-// controller sweeps every processor's candidate ladder per verdict,
-// while the sharded router's per-join work is bounded by the shard
-// size: floor-cached O(1) routing plus verdicts from the preferred
-// shard and one probe.  items_per_second is joins routed per
-// wall-second; the S=64 / S=1 ratio backs the >= 10x
-// sharded-join-rate claim in docs/scenarios.md
-// (tools/check_bench_regression.py tracks both).
+// fleet, so most joins are rejections.  The sharded router's per-join
+// work is bounded by the shard size: floor-cached O(1) routing plus
+// verdicts from the preferred shard and one probe.  items_per_second
+// is joins routed per wall-second; docs/scenarios.md reports the
+// S=64 / S=1 ratio (tools/check_bench_regression.py tracks both).
 
 const farm::FarmScenario& flash_crowd_10k() {
   static const farm::FarmScenario scenario = [] {

@@ -123,7 +123,7 @@ void AdmissionController::move_rung(int p, std::size_t i, std::size_t rung) {
   loads_changed();
 }
 
-void AdmissionController::loads_changed() const {
+void AdmissionController::loads_changed() {
   unpreferred_dirty_ = true;
   least_loaded_ = -1;
 }

@@ -419,7 +419,7 @@ class AdmissionController {
 
   /// Marks unpreferred_order() and least_loaded() stale: called by every
   /// commitment mutation hook and by fail_processor().
-  void loads_changed() const;
+  void loads_changed();
 
   /// Like try_place, but allowed to shrink running controlled
   /// commitments (largest budget headroom first, one ladder rung at a

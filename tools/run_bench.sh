@@ -14,8 +14,8 @@
 # Timeseries turns the windowed accumulators + SLO evaluation on),
 # and the sharded join storm (BM_ShardedJoinRate at 1 / 64 shards on a
 # 1024-processor fleet, items_per_second = admission verdicts per
-# wall-second on the pinned 10k-stream flash-crowd; the 64-shard row
-# must stay >= 10x the single-controller row), the join-storm
+# wall-second on the pinned 10k-stream flash-crowd; docs/scenarios.md
+# reports the ratio of the two rows), the join-storm
 # renegotiation path (BM_RenegotiationStorm, one controller on 64
 # processors, items_per_second = admission verdicts per wall-second),
 # and the two data-plane layers that dominate a farm run
