@@ -1,17 +1,18 @@
 // Golden digests of the farm's outputs — the Chrome trace export, the
 // metrics registry JSON, the windowed series JSON, the whole JSON
-// report and the CSV — over three scenarios that together reach every
+// report, the CSV and the text summary — over three scenarios that together reach every
 // trace EventKind the data and control planes can emit, plus faults,
 // failover, shards, series and SLO alerts.  The determinism pins
 // elsewhere compare runs against runs (workers x shards x policies),
 // so a change that shifts every run the same way passes them; these
 // FNV-1a digests pin the absolute bytes instead.  The trace, metrics
 // and series are integer-valued, so those three digests are
-// platform-stable.  The report and CSV carry doubles (PSNR, SSIM,
-// utilization, rates), so those two digests are toolchain-pinned like
-// tests/encoder/bitstream_pin_test.cpp: a different libm or compiler
-// may legitimately move them.  The report's build provenance (version,
-// compiler, SIMD backend) is cut before digesting.
+// platform-stable.  The report, CSV and summary carry doubles (PSNR,
+// SSIM, utilization, rates), so those three digests are toolchain-pinned
+// like tests/encoder/bitstream_pin_test.cpp: a different libm or
+// compiler may legitimately move them.  The build provenance (version,
+// compiler, SIMD backend) of the report and of the summary's first line
+// is cut before digesting.
 //
 // A digest mismatch means an observable output changed: re-derive the
 // expected value only for an intended behavior change, never for a
@@ -50,6 +51,15 @@ std::string report_without_provenance(const FarmResult& r) {
   const std::size_t seeds = json.find("\"farm_seed\"");
   EXPECT_NE(seeds, std::string::npos);
   return json.substr(seeds);
+}
+
+/// The text summary from its first seed field on: everything but the
+/// version line that heads it.
+std::string summary_without_provenance(const FarmResult& r) {
+  const std::string text = summarize(r);
+  const std::size_t seeds = text.find(" seed=");
+  EXPECT_NE(seeds, std::string::npos);
+  return text.substr(seeds);
 }
 
 std::vector<obs::SloSpec> alerting_slos() {
@@ -167,18 +177,22 @@ struct Golden {
   std::uint64_t series;
   std::uint64_t report;
   std::uint64_t csv;
+  std::uint64_t summary;
 };
 
 const Golden kGoldens[] = {
     {"faulted_preemptive", faulted_preemptive, 3, 0x4ec0f08bc94a9705ULL,
      0xaf44c2b646aa5088ULL, 0x668ac802ffc04a2bULL,
-     0xf15052a5d5e07f70ULL, 0x7334d3beb5fb584aULL},
+     0xf15052a5d5e07f70ULL, 0x7334d3beb5fb584aULL,
+     0x787d5e1610dc46b2ULL},
     {"split_relay", split_relay, 3, 0x4503f4f3fc4ff41aULL,
      0x71d1d27c216d8559ULL, 0x7f2df721e939c32aULL,
-     0x8f6ba02d45fb7182ULL, 0x8973be77b4ceeeadULL},
+     0x8f6ba02d45fb7182ULL, 0x8973be77b4ceeeadULL,
+     0xfabc314009191257ULL},
     {"sharded_rebalance", sharded_rebalance, 4, 0xfd51e95ad8eab94fULL,
      0xea0c00cf6ed3f420ULL, 0x1916b6456eb7b9c3ULL,
-     0x98c2fd6c06443bf9ULL, 0x42996964edd530f8ULL},
+     0x98c2fd6c06443bf9ULL, 0x42996964edd530f8ULL,
+     0x967ed62b3efbda17ULL},
 };
 
 TEST(GoldenOutputs, DigestsArePinned) {
@@ -193,6 +207,8 @@ TEST(GoldenOutputs, DigestsArePinned) {
     EXPECT_EQ(fnv1a(report_without_provenance(r)), g.report)
         << g.name << " report";
     EXPECT_EQ(fnv1a(to_csv(r)), g.csv) << g.name << " csv";
+    EXPECT_EQ(fnv1a(summary_without_provenance(r)), g.summary)
+        << g.name << " summary";
     EXPECT_EQ(r.trace_dropped, 0) << g.name;
   }
 }
