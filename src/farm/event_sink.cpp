@@ -37,11 +37,11 @@ EventSink::EventSink(obs::Registry* metrics, obs::TraceBuffer* trace,
   }
 
   static_assert(static_cast<std::size_t>(pipe::ControlMode::kFeedback) + 1 ==
-                    tracks::kClassSuffix.size(),
-                "one class suffix per control mode");
+                    tracks::kClassNames.size(),
+                "one class name per control mode");
   auto by_class = [](const char* base) {
     std::vector<std::string> names;
-    for (std::size_t c = 0; c < tracks::kClassSuffix.size(); ++c) {
+    for (std::size_t c = 0; c < tracks::kClassNames.size(); ++c) {
       names.push_back(tracks::of_class(base, c));
     }
     return names;

@@ -2,6 +2,8 @@
 
 #include <iomanip>
 #include <sstream>
+#include <utility>
+#include <variant>
 
 #include "encoder/body.h"
 #include "obs/buildinfo.h"
@@ -11,27 +13,99 @@ namespace qosctrl::farm {
 namespace {
 
 const char* mode_name(pipe::ControlMode mode) {
-  switch (mode) {
-    case pipe::ControlMode::kControlled:
-      return "controlled";
-    case pipe::ControlMode::kConstantQuality:
-      return "constant";
-    case pipe::ControlMode::kFeedback:
-      return "feedback";
-  }
-  return "?";
+  return obs::tracks::kClassNames[static_cast<std::size_t>(mode)];
 }
 
-/// The eight StreamFaultStats counters, in report order.
-void write_faults(util::JsonWriter& w, const StreamFaultStats& f) {
-  w.field("overruns_injected", f.overruns_injected);
-  w.field("overruns_policed", f.overruns_policed);
-  w.field("aborted_frames", f.aborted_frames);
-  w.field("forced_downgrades", f.forced_downgrades);
-  w.field("quarantines", f.quarantines);
-  w.field("quarantine_drops", f.quarantine_drops);
-  w.field("lost_frames", f.lost_frames);
-  w.field("failure_drops", f.failure_drops);
+using S = StreamOutcome;
+
+/// One per-stream report value.
+using Value = std::variant<long long, std::size_t, double, bool, const char*>;
+
+/// Where a per-stream field sits in the CSV row.  The column order is
+/// frozen, as scripts read columns by position: the columns added
+/// after the first layout sit at the end of the row (kTail), while the
+/// JSON object keeps table order.
+enum class Csv { kLead, kTail, kNone };
+
+/// One per-stream field: its key and a getter, a plain function made
+/// from a captureless lambda.  The null row stands for the fault
+/// counters (kFaultCounters).
+struct StreamField {
+  template <class Get>
+  constexpr StreamField(const char* key, Get, Csv block = Csv::kLead)
+      : name(key),
+        get([](const S& s) -> Value { return Get{}(s); }),
+        csv(block) {}
+  constexpr StreamField(std::nullptr_t) : csv(Csv::kTail) {}
+
+  const char* name = nullptr;
+  Value (*get)(const S&) = nullptr;
+  Csv csv;
+};
+
+/// Fields of every offered stream.  A rejected stream's JSON object
+/// ends after these with its "reason".
+constexpr StreamField kOfferFields[] = {
+    {"id", [](auto& s) { return s.spec.id; }},
+    {"mode", [](auto& s) { return mode_name(s.spec.mode); }},
+    {"width", [](auto& s) { return s.spec.width; }},
+    {"height", [](auto& s) { return s.spec.height; }},
+    {"buffer_capacity", [](auto& s) { return s.spec.buffer_capacity; }},
+    {"frame_period", [](auto& s) { return period_of(s.spec); }},
+    {"join_time", [](auto& s) { return s.spec.join_time; }},
+    {"num_frames", [](auto& s) { return s.spec.num_frames; }},
+    {"admitted", [](auto& s) { return s.placement.admitted; }},
+};
+
+/// Fields of an admitted stream.  A rejected stream's CSV row reads
+/// them too: its defaults print processor -1 and zeros.
+constexpr StreamField kAdmittedFields[] = {
+    {"processor", [](auto& s) { return s.placement.processor; }},
+    {"table_budget", [](auto& s) { return s.placement.table_budget; }},
+    {"committed_cost", [](auto& s) { return s.placement.committed_cost; }},
+    {"migrated", [](auto& s) { return s.placement.migrated; }},
+    {"degraded", [](auto& s) { return s.placement.degraded; }},
+    {"split", [](auto& s) { return s.placement.split; }},
+    {"tail_processor", [](auto& s) { return s.placement.tail_processor; },
+     Csv::kNone},
+    {"via_renegotiation",
+     [](auto& s) { return s.placement.via_renegotiation; }},
+    {"renegotiated", [](auto& s) { return s.renegotiated; }},
+    {"restored", [](auto& s) { return s.restored; }},
+    {"final_budget",
+     [](auto& s) {
+       return active_epochs(s).empty() ? s.placement.table_budget
+                                       : active_epochs(s).back().table_budget;
+     }},
+    {"initial_quality", [](auto& s) { return s.placement.initial_quality; }},
+    {"skips", [](auto& s) { return s.result.total_skips; }},
+    {"concealed", [](auto& s) { return s.result.total_concealed; }, Csv::kTail},
+    {"display_misses", [](auto& s) { return s.display_misses; }},
+    {"internal_misses", [](auto& s) { return s.internal_misses; }},
+    {"max_start_lag", [](auto& s) { return s.max_start_lag; }},
+    {"mean_start_lag", [](auto& s) { return s.mean_start_lag; }},
+    {"start_lag_p95", [](auto& s) { return s.start_lag_p95; }, Csv::kTail},
+    {nullptr},
+    {"quarantined", [](auto& s) { return s.quarantined; }, Csv::kTail},
+    {"failovers", [](auto& s) { return s.failover.size(); }, Csv::kTail},
+    {"mean_psnr", [](auto& s) { return s.result.mean_psnr; }},
+    {"psnr_p5", [](auto& s) { return s.result.psnr_stats.p5; }},
+    {"psnr_min", [](auto& s) { return s.result.psnr_stats.min; }},
+    {"mean_ssim", [](auto& s) { return s.result.mean_ssim; }},
+    {"ssim_p5", [](auto& s) { return s.result.ssim_stats.p5; }},
+    {"ssim_min", [](auto& s) { return s.result.ssim_stats.min; }},
+    {"mean_quality", [](auto& s) { return s.result.mean_quality; }},
+    {"kbps", [](auto& s) { return s.result.achieved_bps / 1e3; }},
+};
+
+/// Calls `fn(name, get)` for each key `f` stands for, where `get(s)`
+/// is the key's value for stream `s`.
+template <class Fn>
+void for_each_key(const StreamField& f, Fn&& fn) {
+  if (f.get != nullptr) return fn(f.name, f.get);
+  for (const auto& [name, counter] : kFaultCounters) {
+    fn(name, [counter](const S& s) -> Value { return s.faults.*counter; });
+  }
 }
 
 }  // namespace
@@ -270,7 +344,9 @@ std::string to_json(const FarmResult& r) {
   w.field("mean_psnr", r.fleet_mean_psnr);
   w.field("mean_ssim", r.fleet_mean_ssim);
   w.field("total_concealed", r.total_concealed);
-  write_faults(w, r.faults_total);
+  for (const auto& [name, counter] : kFaultCounters) {
+    w.field(name, r.faults_total.*counter);
+  }
   w.field("quarantined_streams", r.quarantined_streams);
   w.field("failover_readmissions", r.failover_readmissions);
   w.field("failover_drops", r.failover_drops);
@@ -327,53 +403,17 @@ std::string to_json(const FarmResult& r) {
   w.key("streams");
   w.begin_array();
   for (const StreamOutcome& so : r.streams) {
+    const auto field = [&](const char* name, auto get) {
+      std::visit([&](auto v) { w.field(name, v); }, get(so));
+    };
     w.begin_object();
-    w.field("id", so.spec.id);
-    w.field("mode", mode_name(so.spec.mode));
-    w.field("width", so.spec.width);
-    w.field("height", so.spec.height);
-    w.field("buffer_capacity", so.spec.buffer_capacity);
-    w.field("frame_period", period_of(so.spec));
-    w.field("join_time", so.spec.join_time);
-    w.field("num_frames", so.spec.num_frames);
-    w.field("admitted", so.placement.admitted);
+    for (const StreamField& f : kOfferFields) for_each_key(f, field);
     if (!so.placement.admitted) {
       w.field("reason", so.placement.reason);
       w.end_object();
       continue;
     }
-    w.field("processor", so.placement.processor);
-    w.field("table_budget", so.placement.table_budget);
-    w.field("committed_cost", so.placement.committed_cost);
-    w.field("migrated", so.placement.migrated);
-    w.field("degraded", so.placement.degraded);
-    w.field("split", so.placement.split);
-    w.field("tail_processor", so.placement.tail_processor);
-    w.field("via_renegotiation", so.placement.via_renegotiation);
-    w.field("renegotiated", so.renegotiated);
-    w.field("restored", so.restored);
-    w.field("final_budget", active_epochs(so).empty()
-                                ? so.placement.table_budget
-                                : active_epochs(so).back().table_budget);
-    w.field("initial_quality", so.placement.initial_quality);
-    w.field("skips", so.result.total_skips);
-    w.field("concealed", so.result.total_concealed);
-    w.field("display_misses", so.display_misses);
-    w.field("internal_misses", so.internal_misses);
-    w.field("max_start_lag", so.max_start_lag);
-    w.field("mean_start_lag", so.mean_start_lag);
-    w.field("start_lag_p95", so.start_lag_p95);
-    write_faults(w, so.faults);
-    w.field("quarantined", so.quarantined);
-    w.field("failovers", so.failover.size());
-    w.field("mean_psnr", so.result.mean_psnr);
-    w.field("psnr_p5", so.result.psnr_stats.p5);
-    w.field("psnr_min", so.result.psnr_stats.min);
-    w.field("mean_ssim", so.result.mean_ssim);
-    w.field("ssim_p5", so.result.ssim_stats.p5);
-    w.field("ssim_min", so.result.ssim_stats.min);
-    w.field("mean_quality", so.result.mean_quality);
-    w.field("kbps", so.result.achieved_bps / 1e3);
+    for (const StreamField& f : kAdmittedFields) for_each_key(f, field);
     w.key("phase_cycles");
     w.begin_object();
     for (int ph = 0; ph < enc::kNumEncodePhases; ++ph) {
@@ -439,66 +479,43 @@ std::string to_json(const FarmResult& r) {
 std::string to_csv(const FarmResult& r) {
   std::ostringstream os;
   os << std::setprecision(17);
-  os << "id,mode,width,height,buffer_capacity,frame_period,join_time,"
-        "num_frames,admitted,processor,table_budget,committed_cost,"
-        "migrated,degraded,split,via_renegotiation,renegotiated,restored,"
-        "final_budget,"
-        "initial_quality,skips,display_misses,"
-        "internal_misses,max_start_lag,mean_start_lag,mean_psnr,"
-        "psnr_p5,psnr_min,mean_ssim,ssim_p5,ssim_min,"
-        "mean_quality,kbps,"
-        "concealed,start_lag_p95,overruns_injected,overruns_policed,"
-        "aborted_frames,forced_downgrades,quarantines,quarantine_drops,"
-        "lost_frames,failure_drops,quarantined,failovers\n";
-  for (const StreamOutcome& so : r.streams) {
-    os << so.spec.id << ',' << mode_name(so.spec.mode) << ','
-       << so.spec.width << ',' << so.spec.height << ','
-       << so.spec.buffer_capacity << ',' << period_of(so.spec) << ','
-       << so.spec.join_time << ',' << so.spec.num_frames << ','
-       << (so.placement.admitted ? 1 : 0) << ',';
-    if (!so.placement.admitted) {
-      os << "-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
-            "0,0,0,0,0,0,0,0,0,0,0,0\n";
-      continue;
+  // One CSV line: the header when `so` is null, else the stream's row.
+  // The offer fields all lead.
+  const auto line = [&](const S* so) {
+    const char* sep = "";
+    const auto cell = [&](const char* name, auto get) {
+      os << std::exchange(sep, ",");
+      if (so == nullptr) {
+        os << name;
+      } else {
+        std::visit([&](auto v) { os << v; }, get(*so));
+      }
+    };
+    for (const StreamField& f : kOfferFields) for_each_key(f, cell);
+    for (const Csv block : {Csv::kLead, Csv::kTail}) {
+      for (const StreamField& f : kAdmittedFields) {
+        if (f.csv == block) for_each_key(f, cell);
+      }
     }
-    os << so.placement.processor << ',' << so.placement.table_budget << ','
-       << so.placement.committed_cost << ','
-       << (so.placement.migrated ? 1 : 0) << ','
-       << (so.placement.degraded ? 1 : 0) << ','
-       << (so.placement.split ? 1 : 0) << ','
-       << (so.placement.via_renegotiation ? 1 : 0) << ','
-       << (so.renegotiated ? 1 : 0) << ',' << (so.restored ? 1 : 0) << ','
-       << (active_epochs(so).empty()
-               ? so.placement.table_budget
-               : active_epochs(so).back().table_budget)
-       << ','
-       << so.placement.initial_quality << ',' << so.result.total_skips
-       << ',' << so.display_misses << ',' << so.internal_misses << ','
-       << so.max_start_lag << ',' << so.mean_start_lag << ','
-       << so.result.mean_psnr << ',' << so.result.psnr_stats.p5 << ','
-       << so.result.psnr_stats.min << ',' << so.result.mean_ssim << ','
-       << so.result.ssim_stats.p5 << ',' << so.result.ssim_stats.min << ','
-       << so.result.mean_quality << ','
-       << so.result.achieved_bps / 1e3 << ','
-       << so.result.total_concealed << ',' << so.start_lag_p95 << ','
-       << so.faults.overruns_injected << ',' << so.faults.overruns_policed
-       << ',' << so.faults.aborted_frames << ','
-       << so.faults.forced_downgrades << ',' << so.faults.quarantines << ','
-       << so.faults.quarantine_drops << ',' << so.faults.lost_frames << ','
-       << so.faults.failure_drops << ',' << (so.quarantined ? 1 : 0) << ','
-       << so.failover.size() << '\n';
-  }
+    os << '\n';
+  };
+  line(nullptr);
+  for (const StreamOutcome& so : r.streams) line(&so);
   // Metrics table, blank-line separated from the stream table so the
-  // file stays trivially splittable.
-  os << "\nmetric,kind,count,sum,min,max,p50,p95,p99\n";
+  // file stays trivially splittable.  A counter row reads as a
+  // histogram whose count and sum are the counter's value and whose
+  // other stats are 0.
+  os << "\nmetric,kind";
+  for (const auto& [stat, of] : obs::kHistogramStats) os << ',' << stat;
   for (const auto& [name, h] : r.metrics.histograms()) {
-    os << name << ",histogram," << h.count() << ',' << h.sum() << ','
-       << h.min() << ',' << h.max() << ',' << h.percentile(0.50) << ','
-       << h.percentile(0.95) << ',' << h.percentile(0.99) << '\n';
+    os << '\n' << name << ",histogram";
+    for (const auto& [stat, of] : obs::kHistogramStats) os << ',' << of(h);
   }
   for (const auto& [name, v] : r.metrics.counters()) {
-    os << name << ",counter," << v << ',' << v << ",0,0,0,0,0\n";
+    os << '\n' << name << ",counter," << v << ',' << v;
+    for (std::size_t i = 2; i < obs::kHistogramStats.size(); ++i) os << ",0";
   }
+  os << '\n';
   // SLO verdict table, again blank-line separated, only when
   // objectives were configured (the spec grammar has no commas).
   if (!r.slo.objectives.empty()) {

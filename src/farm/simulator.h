@@ -137,18 +137,31 @@ struct StreamFaultStats {
   int lost_frames = 0;        ///< post-encode losses (loss injection)
   int failure_drops = 0;      ///< frames lost to a processor blackout
 
-  StreamFaultStats& operator+=(const StreamFaultStats& o) {
-    overruns_injected += o.overruns_injected;
-    overruns_policed += o.overruns_policed;
-    aborted_frames += o.aborted_frames;
-    forced_downgrades += o.forced_downgrades;
-    quarantines += o.quarantines;
-    quarantine_drops += o.quarantine_drops;
-    lost_frames += o.lost_frames;
-    failure_drops += o.failure_drops;
-    return *this;
-  }
+  StreamFaultStats& operator+=(const StreamFaultStats& o);
 };
+
+/// The StreamFaultStats counters and their report keys, in report
+/// order: the fleet sum, the JSON fleet and stream objects, and the CSV
+/// columns all walk this list.
+inline constexpr std::pair<const char*, int StreamFaultStats::*>
+    kFaultCounters[] = {
+    {"overruns_injected", &StreamFaultStats::overruns_injected},
+    {"overruns_policed", &StreamFaultStats::overruns_policed},
+    {"aborted_frames", &StreamFaultStats::aborted_frames},
+    {"forced_downgrades", &StreamFaultStats::forced_downgrades},
+    {"quarantines", &StreamFaultStats::quarantines},
+    {"quarantine_drops", &StreamFaultStats::quarantine_drops},
+    {"lost_frames", &StreamFaultStats::lost_frames},
+    {"failure_drops", &StreamFaultStats::failure_drops},
+};
+
+inline StreamFaultStats& StreamFaultStats::operator+=(
+    const StreamFaultStats& o) {
+  for (const auto& [name, counter] : kFaultCounters) {
+    this->*counter += o.*counter;
+  }
+  return *this;
+}
 
 /// One re-admission of a stream displaced mid-life: by a permanent
 /// processor failure (failure_index >= 0 — the control plane releases

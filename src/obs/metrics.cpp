@@ -57,6 +57,16 @@ long long Histogram::percentile(double p) const {
   return bucket_upper(kNumBuckets - 1);
 }
 
+const std::array<HistogramStat, 7> kHistogramStats = {{
+    {"count", [](const Histogram& h) { return h.count(); }},
+    {"sum", [](const Histogram& h) { return h.sum(); }},
+    {"min", [](const Histogram& h) { return h.min(); }},
+    {"max", [](const Histogram& h) { return h.max(); }},
+    {"p50", [](const Histogram& h) { return h.percentile(0.50); }},
+    {"p95", [](const Histogram& h) { return h.percentile(0.95); }},
+    {"p99", [](const Histogram& h) { return h.percentile(0.99); }},
+}};
+
 void Registry::merge(const Registry& other) {
   for (const auto& [name, value] : other.counters_) {
     counters_[name] += value;
@@ -77,13 +87,7 @@ void Registry::write_json(util::JsonWriter& w) const {
   for (const auto& [name, h] : histograms_) {
     w.key(name);
     w.begin_object();
-    w.field("count", h.count());
-    w.field("sum", h.sum());
-    w.field("min", h.min());
-    w.field("max", h.max());
-    w.field("p50", h.percentile(0.50));
-    w.field("p95", h.percentile(0.95));
-    w.field("p99", h.percentile(0.99));
+    for (const auto& [stat, of] : kHistogramStats) w.field(stat, of(h));
     w.end_object();
   }
   w.end_object();
@@ -93,10 +97,11 @@ void Registry::write_json(util::JsonWriter& w) const {
 std::string Registry::summary() const {
   std::ostringstream os;
   for (const auto& [name, h] : histograms_) {
-    os << "metric " << name << ": count=" << h.count()
-       << " sum=" << h.sum() << " min=" << h.min() << " max=" << h.max()
-       << " p50=" << h.percentile(0.50) << " p95=" << h.percentile(0.95)
-       << " p99=" << h.percentile(0.99) << "\n";
+    os << "metric " << name << ':';
+    for (const auto& [stat, of] : kHistogramStats) {
+      os << ' ' << stat << '=' << of(h);
+    }
+    os << "\n";
   }
   if (!counters_.empty()) {
     os << "counters:";

@@ -19,9 +19,11 @@
 // precision next to the histogram tails.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "util/json.h"
 
@@ -62,6 +64,14 @@ class Histogram {
   long long max_ = 0;
 };
 
+/// A histogram statistic a report writes: its name and its reader.
+using HistogramStat = std::pair<const char*, long long (*)(const Histogram&)>;
+
+/// The stats every report writes per histogram, in output order: the
+/// registry's JSON object and summary line, the series' window rows,
+/// and the farm CSV's metric table.
+extern const std::array<HistogramStat, 7> kHistogramStats;
+
 /// Named counters + histograms with deterministic (name-sorted)
 /// serialization.  Not thread-safe: the farm keeps one registry per
 /// virtual processor (single-writer, like the run queues) plus one for
@@ -85,7 +95,7 @@ class Registry {
   }
 
   /// Writes the JSON object {"counters":{...},"histograms":{name:
-  /// {count,sum,min,max,p50,p95,p99}}}.  Pure function of the contents.
+  /// {<kHistogramStats>}}}.  Pure function of the contents.
   void write_json(util::JsonWriter& w) const;
 
   /// One line per metric ("metric <name> ..."), for the text summary.

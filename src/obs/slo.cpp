@@ -109,7 +109,7 @@ bool parse_threshold(const std::string& s, double* value, bool* in_windows) {
 /// or the `@class` variant the data plane records next to it.
 std::string scoped_track(const char* base, SloScope scope) {
   static_assert(static_cast<int>(SloScope::kFeedback) ==
-                    static_cast<int>(tracks::kClassSuffix.size()),
+                    static_cast<int>(tracks::kClassNames.size()),
                 "one SLO scope per stream class, after kFleet");
   return scope == SloScope::kFleet
              ? std::string(base)

@@ -48,11 +48,8 @@ void TimeSeries::write_json(util::JsonWriter& w) const {
     w.begin_array();
     for (const auto& [index, h] : track) {
       w.begin_array();
-      for (const long long v :
-           {index, h.count(), h.sum(), h.min(), h.max(), h.percentile(0.50),
-            h.percentile(0.95), h.percentile(0.99)}) {
-        w.value(v);
-      }
+      w.value(index);
+      for (const auto& [stat, of] : kHistogramStats) w.value(of(h));
       w.end_array();
     }
     w.end_array();

@@ -42,14 +42,14 @@ inline constexpr const char* kFramesConcealed = "frames_concealed";
 inline constexpr const char* kAdmitted = "admitted";
 inline constexpr const char* kRejected = "rejected";
 inline constexpr const char* kRebalance = "rebalance";
-/// Suffixes of the per-stream-class variants, in pipe::ControlMode
-/// order (the SLO scopes :controlled, :constant, :feedback).
-inline constexpr std::array<const char*, 3> kClassSuffix = {
-    "@controlled", "@constant", "@feedback"};
+/// Stream-class names, in pipe::ControlMode order: the farm report's
+/// stream modes, the SLO scopes and the `@class` track suffixes.
+inline constexpr std::array<const char*, 3> kClassNames = {
+    "controlled", "constant", "feedback"};
 
-/// `base` + the class suffix of stream class `cls`.
+/// `base` + "@" + the name of stream class `cls`.
 inline std::string of_class(const char* base, std::size_t cls) {
-  return std::string(base) + kClassSuffix[cls];
+  return std::string(base) + '@' + kClassNames[cls];
 }
 /// `base` + "/shard<k>": a per-shard control track.
 inline std::string of_shard(const char* base, int shard) {
@@ -109,8 +109,8 @@ struct TimeSeries {
   /// Largest window index present across all tracks; -1 when empty.
   long long last_window() const;
 
-  /// Writes the JSON object {"window":W,"tracks":{name:[[w,count,sum,
-  /// min,max,p50,p95,p99],...]}}.  Pure function of the contents.
+  /// Writes the JSON object {"window":W,"tracks":{name:[[w,
+  /// <kHistogramStats>],...]}}.  Pure function of the contents.
   void write_json(util::JsonWriter& w) const;
 
   /// One line per track for the text summary:
