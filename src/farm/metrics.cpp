@@ -520,12 +520,13 @@ std::string to_csv(const FarmResult& r) {
   // objectives were configured (the spec grammar has no commas).
   if (!r.slo.objectives.empty()) {
     os << "\nslo,points,violations,worst_window,worst_value,"
-          "budget_remaining,alerts,met\n";
+          "budget_remaining,alerts,met,verdict\n";
     for (const obs::SloOutcome& o : r.slo.objectives) {
       os << o.spec.text << ',' << o.points << ',' << o.violations << ','
          << o.worst_window << ',' << o.worst_value << ','
          << o.budget_remaining << ',' << o.alerts.size() << ','
-         << (o.met ? 1 : 0) << '\n';
+         << (o.met() ? 1 : 0) << ',' << obs::slo_verdict_name(o.verdict)
+         << '\n';
     }
   }
   return os.str();

@@ -31,6 +31,11 @@ constexpr std::pair<const char*, SloMetric> kMetricNames[] = {
     {"p99_latency", SloMetric::kLatencyP99},
     {"concealment_rate", SloMetric::kConcealRate},
 };
+constexpr std::pair<const char*, SloVerdict> kVerdictNames[] = {
+    {"met", SloVerdict::kMet},
+    {"missed", SloVerdict::kMissed},
+    {"no_data", SloVerdict::kNoData},
+};
 constexpr std::pair<const char*, SloScope> kScopeNames[] = {
     {"fleet", SloScope::kFleet},
     {"controlled", SloScope::kControlled},
@@ -210,7 +215,7 @@ void evaluate_windowed(const SloSpec& spec, const SloInputs& in,
   // completions and no misses is a healthy point, not a gap) —
   // percentile metrics only where the primary track recorded.
   if (!is_rate(spec.metric)) widen(primary);
-  if (lo < 0) return;  // no data: vacuous, zero points
+  if (lo < 0) return;  // zero points: no data
 
   BurnWindow burn;
   bool alerting = false;
@@ -285,6 +290,10 @@ void evaluate_recovery(const SloSpec& spec, const SloInputs& in,
 const char* slo_metric_name(SloMetric m) { return name_of(kMetricNames, m); }
 
 const char* slo_scope_name(SloScope s) { return name_of(kScopeNames, s); }
+
+const char* slo_verdict_name(SloVerdict v) {
+  return name_of(kVerdictNames, v);
+}
 
 bool parse_slo(const std::string& text, SloSpec* out, std::string* error) {
   auto fail = [&](const std::string& why) {
@@ -369,7 +378,7 @@ bool parse_slo(const std::string& text, SloSpec* out, std::string* error) {
 
 bool SloReport::all_met() const {
   for (const SloOutcome& o : objectives) {
-    if (!o.met) return false;
+    if (!o.met()) return false;
   }
   return true;
 }
@@ -391,7 +400,9 @@ SloReport evaluate_slos(const std::vector<SloSpec>& specs,
             ? 1.0 - static_cast<double>(out.violations) /
                         (spec.budget * static_cast<double>(out.points))
             : 1.0;
-    out.met = out.budget_remaining >= 0.0;
+    out.verdict = out.points == 0                ? SloVerdict::kNoData
+                  : out.budget_remaining >= 0.0 ? SloVerdict::kMet
+                                                : SloVerdict::kMissed;
     report.objectives.push_back(std::move(out));
   }
   return report;
@@ -415,7 +426,8 @@ void SloReport::write_json(util::JsonWriter& w) const {
     w.field("worst_window", o.worst_window);
     w.field("worst_value", o.worst_value);
     w.field("budget_remaining", o.budget_remaining);
-    w.field("met", o.met);
+    w.field("met", o.met());
+    w.field("verdict", slo_verdict_name(o.verdict));
     w.key("alerts");
     w.begin_array();
     for (const SloAlert& a : o.alerts) {
@@ -444,8 +456,11 @@ std::string slo_summary(const SloReport& report) {
     }
     os << " budget_remaining="
        << util::JsonWriter::number(o.budget_remaining)
-       << " alerts=" << o.alerts.size() << ' ' << (o.met ? "MET" : "MISSED")
-       << "\n";
+       << " alerts=" << o.alerts.size() << ' ';
+    for (const char* c = slo_verdict_name(o.verdict); *c != '\0'; ++c) {
+      os << static_cast<char>(std::toupper(static_cast<unsigned char>(*c)));
+    }
+    os << "\n";
   }
   return os.str();
 }

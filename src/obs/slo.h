@@ -88,6 +88,13 @@ struct SloAlert {
   double slow_burn = 0.0;
 };
 
+/// An objective's verdict.  One without evaluation points has no
+/// data, and is not met: a run that left nothing to score cannot pass.
+enum class SloVerdict { kMet, kMissed, kNoData };
+
+/// "met", "missed" or "no_data".
+const char* slo_verdict_name(SloVerdict v);
+
 struct SloOutcome {
   SloSpec spec;
   long long points = 0;      ///< evaluation points with data
@@ -96,12 +103,16 @@ struct SloOutcome {
   double worst_value = 0.0;
   /// 1 - violations / (budget * points); negative when overspent.
   double budget_remaining = 1.0;
-  bool met = true;  ///< budget_remaining >= 0
+  /// kNoData without points, else kMet when budget_remaining >= 0.
+  SloVerdict verdict = SloVerdict::kNoData;
   std::vector<SloAlert> alerts;
+
+  bool met() const { return verdict == SloVerdict::kMet; }
 };
 
 struct SloReport {
   std::vector<SloOutcome> objectives;
+  /// Every objective met; false when any has no data.
   bool all_met() const;
 
   /// Writes the JSON object for the report's "slo" section.

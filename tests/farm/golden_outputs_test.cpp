@@ -183,7 +183,7 @@ struct Golden {
 const Golden kGoldens[] = {
     {"faulted_preemptive", faulted_preemptive, 3, 0x4ec0f08bc94a9705ULL,
      0xaf44c2b646aa5088ULL, 0x668ac802ffc04a2bULL,
-     0xf15052a5d5e07f70ULL, 0x7334d3beb5fb584aULL,
+     0x88228632fc02dfe9ULL, 0xfc63bc7dfaa550f1ULL,
      0x787d5e1610dc46b2ULL},
     {"split_relay", split_relay, 3, 0x4503f4f3fc4ff41aULL,
      0x71d1d27c216d8559ULL, 0x7f2df721e939c32aULL,

@@ -128,7 +128,8 @@ TEST(SloEvalTest, CountsViolationsAgainstTheBudget) {
   EXPECT_EQ(o.worst_window, 7);
   EXPECT_DOUBLE_EQ(o.worst_value, 8191);  // log2 bucket upper of 5000
   EXPECT_DOUBLE_EQ(o.budget_remaining, 0.0);
-  EXPECT_TRUE(o.met);
+  EXPECT_TRUE(o.met());
+  EXPECT_EQ(o.verdict, SloVerdict::kMet);
   EXPECT_TRUE(report.all_met());
 
   // Two bad windows overspend the same budget.
@@ -136,7 +137,8 @@ TEST(SloEvalTest, CountsViolationsAgainstTheBudget) {
   in.series = &worse;
   report = evaluate_slos({spec}, in);
   EXPECT_EQ(report.objectives[0].violations, 2);
-  EXPECT_FALSE(report.objectives[0].met);
+  EXPECT_FALSE(report.objectives[0].met());
+  EXPECT_EQ(report.objectives[0].verdict, SloVerdict::kMissed);
   EXPECT_FALSE(report.all_met());
 }
 
@@ -210,11 +212,14 @@ TEST(SloEvalTest, ScopedObjectivesReadClassTracks) {
   EXPECT_TRUE(
       evaluate_slos({parse_ok("latency_p99<1000:controlled")}, in)
           .all_met());
-  // A scope with no recorded streams is vacuous: zero points, met.
+  // A scope with no recorded streams has zero points: no data, which
+  // is not met.
   const SloReport empty =
       evaluate_slos({parse_ok("latency_p99<1000:feedback")}, in);
   EXPECT_EQ(empty.objectives[0].points, 0);
-  EXPECT_TRUE(empty.objectives[0].met);
+  EXPECT_EQ(empty.objectives[0].verdict, SloVerdict::kNoData);
+  EXPECT_FALSE(empty.objectives[0].met());
+  EXPECT_FALSE(empty.all_met());
 }
 
 TEST(SloEvalTest, BurnAlertFiresOnSustainedBreachOnly) {
@@ -241,7 +246,7 @@ TEST(SloEvalTest, BurnAlertFiresOnSustainedBreachOnly) {
   EXPECT_LE(o.alerts[0].window, 15);
   EXPECT_GE(o.alerts[0].fast_burn, 1.0);
   EXPECT_GE(o.alerts[0].slow_burn, 1.0);
-  EXPECT_FALSE(o.met);
+  EXPECT_FALSE(o.met());
 }
 
 TEST(SloEvalTest, RecoveryLatencyScoresFailures) {
@@ -257,11 +262,13 @@ TEST(SloEvalTest, RecoveryLatencyScoresFailures) {
   // measured 2500-cycle recovery still ranks worst.
   EXPECT_EQ(o.worst_window, 1);
   EXPECT_DOUBLE_EQ(o.worst_value, 2500);
-  EXPECT_FALSE(o.met);
+  EXPECT_FALSE(o.met());
 
-  // Without failures the objective is vacuous and met.
+  // Without failures there is nothing to score: no data, not met.
   in.recovery_latencies.clear();
-  EXPECT_TRUE(evaluate_slos({spec}, in).all_met());
+  const SloReport none = evaluate_slos({spec}, in);
+  EXPECT_EQ(none.objectives[0].verdict, SloVerdict::kNoData);
+  EXPECT_FALSE(none.all_met());
 }
 
 TEST(SloReportTest, JsonAndSummaryShapeIsPinned) {
@@ -275,11 +282,38 @@ TEST(SloReportTest, JsonAndSummaryShapeIsPinned) {
             "\"threshold\":200,\"threshold_in_windows\":false,\"span\":0,"
             "\"budget\":0.050000000000000003,\"points\":1,\"violations\":0,"
             "\"worst_window\":0,\"worst_value\":100,\"budget_remaining\":1,"
-            "\"met\":true,\"alerts\":[]}],\"all_met\":true}");
+            "\"met\":true,\"verdict\":\"met\",\"alerts\":[]}],"
+            "\"all_met\":true}");
   EXPECT_EQ(slo_summary(report),
             "slo recovery_latency<200: points=1 violations=0 "
             "worst_window=0 worst_value=100 budget_remaining=1 "
             "alerts=0 MET\n");
+}
+
+TEST(SloReportTest, NoDataVerdictIsReportedEverywhere) {
+  // A windowed objective over an empty series and a recovery objective
+  // without failures both have zero points.
+  const TimeSeries empty;
+  SloInputs in;
+  in.series = &empty;
+  const SloReport report = evaluate_slos(
+      {parse_ok("miss_rate<=0.01"), parse_ok("recovery_latency<200")}, in);
+  for (const SloOutcome& o : report.objectives) {
+    EXPECT_EQ(o.points, 0);
+    EXPECT_EQ(o.verdict, SloVerdict::kNoData);
+  }
+  EXPECT_FALSE(report.all_met());
+  EXPECT_EQ(slo_summary(report),
+            "slo miss_rate<=0.01: points=0 violations=0 budget_remaining=1 "
+            "alerts=0 NO_DATA\n"
+            "slo recovery_latency<200: points=0 violations=0 "
+            "budget_remaining=1 alerts=0 NO_DATA\n");
+  const std::string json = json_of(report);
+  EXPECT_NE(json.find("\"met\":false,\"verdict\":\"no_data\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"all_met\":false"), std::string::npos);
+  EXPECT_STREQ(slo_verdict_name(SloVerdict::kMet), "met");
+  EXPECT_STREQ(slo_verdict_name(SloVerdict::kMissed), "missed");
 }
 
 TEST(SloReportTest, ControlCharactersInSpecsStayValidJson) {

@@ -64,8 +64,8 @@
 //                     docs/timeseries-slo.md for the grammar).  Windowed
 //                     metrics need --ts-window; recovery_latency works
 //                     without it
-//   --slo-exit        exit with status 3 when any objective is missed
-//                     (the CI gate)
+//   --slo-exit        exit with status 3 when any objective is not met:
+//                     missed, or no data (the CI gate)
 //   --quiet           suppress the human-readable report
 //
 //   qosfarm --version prints build provenance (git describe, compiler,
@@ -458,7 +458,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (slo_exit && !result.slo.all_met()) {
-    std::fprintf(stderr, "qosfarm: SLO missed\n");
+    std::fprintf(stderr, "qosfarm: SLO not met (missed or no data)\n");
     return 3;
   }
   return 0;

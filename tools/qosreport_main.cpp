@@ -18,6 +18,7 @@
 //   --out PATH   HTML file to write (required)
 //   --title T    dashboard heading (default: the input path)
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -202,12 +203,21 @@ void render_slo_table(const JsonValue& slo, std::ostringstream& html) {
     const JsonValue* spec = o.find("spec", JsonKind::kString);
     const JsonValue* scope = o.find("scope", JsonKind::kString);
     const JsonValue* met = o.find("met", JsonKind::kBool);
+    const JsonValue* verdict = o.find("verdict", JsonKind::kString);
     const JsonValue* alerts = o.find("alerts", JsonKind::kArray);
     auto num = [&](const char* key) {
       const JsonValue* v = o.find(key, JsonKind::kNumber);
       return v != nullptr ? v->as_number() : 0.0;
     };
-    const bool ok = met != nullptr && met->as_bool();
+    // "met" / "missed" / "no_data"; reports without the field carry
+    // only the met flag.
+    const std::string v = verdict != nullptr ? verdict->as_string()
+                          : met != nullptr && met->as_bool() ? "met"
+                                                              : "missed";
+    std::string label = v == "no_data" ? "NO DATA" : v;
+    for (char& c : label) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
     html << "<tr><td><code>"
          << html_escape(spec != nullptr ? spec->as_string() : "?")
          << "</code></td><td>"
@@ -218,8 +228,8 @@ void render_slo_table(const JsonValue& slo, std::ostringstream& html) {
          << format_number(num("worst_value")) << "</td><td>"
          << format_number(num("budget_remaining")) << "</td><td>"
          << (alerts != nullptr ? alerts->items().size() : 0)
-         << "</td><td class=\"" << (ok ? "met" : "missed") << "\">"
-         << (ok ? "MET" : "MISSED") << "</td></tr>\n";
+         << "</td><td class=\"" << html_escape(v) << "\">"
+         << html_escape(label) << "</td></tr>\n";
   }
   html << "</table>\n";
 }
@@ -359,6 +369,7 @@ const char kStyle[] =
     "th{background:#eee}td:first-child,th:first-child{text-align:left}"
     ".met{color:#0a7b24;font-weight:bold}"
     ".missed{color:#c0182b;font-weight:bold}"
+    ".no_data{color:#8a6d00;font-weight:bold}"
     ".meta{color:#666;font-size:0.9em}"
     ".spark{width:100%;height:72px;background:#fafafa;"
     "border:1px solid #ddd}"
