@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -73,22 +75,22 @@ bool is_latency(SloMetric m) {
          m == SloMetric::kLatencyP99;
 }
 
-/// "50ms" / "4Mc" / "400000c" -> cycles.
+/// "50ms" / "4Mc" / "400000c" -> cycles; false when it overflows.
 bool parse_span(const std::string& s, rt::Cycles* out) {
   std::size_t i = 0;
   while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
-  if (i == 0) return false;
-  const long long n = std::strtoll(s.substr(0, i).c_str(), nullptr, 10);
   const std::string unit = s.substr(i);
-  if (unit == "ms") {
-    *out = n * kCyclesPerMs;
-  } else if (unit == "Mc") {
-    *out = n * 1000000;
-  } else if (unit == "c") {
-    *out = n;
-  } else {
+  const rt::Cycles scale = unit == "ms"   ? kCyclesPerMs
+                           : unit == "Mc" ? 1000000
+                           : unit == "c"  ? 1
+                                          : 0;
+  rt::Cycles n = 0;
+  const auto parsed = std::from_chars(s.data(), s.data() + i, n);
+  if (i == 0 || scale == 0 || parsed.ec != std::errc() ||
+      n > std::numeric_limits<rt::Cycles>::max() / scale) {
     return false;
   }
+  *out = n * scale;
   return *out > 0;
 }
 
@@ -163,11 +165,11 @@ class BurnWindow {
 void evaluate_windowed(const SloSpec& spec, const SloInputs& in,
                        SloOutcome* out) {
   const TimeSeries& series = *in.series;
+  // Base windows per span, rounded up without overflowing near the
+  // largest span.
+  const long long w = series.window;
   const long long k =
-      spec.span > 0
-          ? std::max<long long>(1, (spec.span + series.window - 1) /
-                                       series.window)
-          : 1;
+      spec.span > 0 ? spec.span / w + (spec.span % w != 0 ? 1 : 0) : 1;
   const double threshold =
       spec.threshold_in_windows
           ? spec.threshold * static_cast<double>(in.reference_window)

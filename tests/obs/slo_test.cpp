@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,16 @@ TEST(SloParseTest, RejectsMalformedSpecs) {
 
 // JSON has no token for a non-finite number, so a threshold or budget
 // that strtod reads as inf or NaN is a parse error, not a report value.
+TEST(SloParseTest, SpansThatOverflowTheCycleRangeAreRejected) {
+  EXPECT_EQ(parse_ok("queue_p99<4@9223372036854775807c").span,
+            std::numeric_limits<rt::Cycles>::max());
+  EXPECT_NE(parse_error("queue_p99<4@9223372036854775808c"), "");
+  EXPECT_NE(parse_error("latency_p99<1w@99999999999999ms"), "");
+  EXPECT_NE(parse_error("latency_p99<1w@9223372036855Mc"), "");
+  EXPECT_EQ(parse_ok("latency_p99<1w@9223372036854Mc").span,
+            9223372036854LL * 1000000);
+}
+
 TEST(SloParseTest, RejectsNonFiniteNumbers) {
   EXPECT_NE(parse_error("queue_p99<=inf"), "");
   EXPECT_NE(parse_error("queue_p99<=INFINITY"), "");
@@ -153,6 +164,18 @@ TEST(SloEvalTest, RollingSpanMergesAdjacentWindows) {
   const SloReport report = evaluate_slos({spec}, in);
   EXPECT_EQ(report.objectives[0].points, 10);
   EXPECT_EQ(report.objectives[0].violations, 3);  // windows 4, 5, 6
+}
+
+TEST(SloEvalTest, LargestSpanCoversTheWholeSeries) {
+  // The span's window count rounds up without overflowing.
+  const TimeSeries series = latency_series(20, 10, 5000, {3});
+  SloInputs in;
+  in.series = &series;
+  const SloOutcome o =
+      evaluate_slos({parse_ok("latency_p99<1000@9223372036854775807c")}, in)
+          .objectives[0];
+  EXPECT_EQ(o.points, 20);
+  EXPECT_EQ(o.violations, 17);  // window 3 stays in every later span
 }
 
 TEST(SloEvalTest, WindowMultipleThresholdsScaleTheReference) {
