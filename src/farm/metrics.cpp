@@ -1,9 +1,11 @@
 #include "farm/metrics.h"
 
+#include <charconv>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
-#include <variant>
 
 #include "encoder/body.h"
 #include "obs/buildinfo.h"
@@ -18,8 +20,38 @@ const char* mode_name(pipe::ControlMode mode) {
 
 using S = StreamOutcome;
 
-/// One per-stream report value.
-using Value = std::variant<long long, std::size_t, double, bool, const char*>;
+/// Appends one CSV cell as the CSV has always printed its cells (an
+/// ostream at precision 17): doubles as %.17g, bools as 0 or 1.
+void append_cell(std::string& out, const char* text) { out += text; }
+template <class T>
+void append_cell(std::string& out, T value) {
+  char buf[32];
+  char* end = buf;
+  if constexpr (std::is_floating_point_v<T>) {
+    end = std::to_chars(buf, buf + sizeof buf, value,
+                        std::chars_format::general, 17).ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof buf, +value).ptr;
+  }
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+/// Where a per-stream value goes: the member `key` of a JSON object,
+/// or the next cell of a CSV row.
+struct Sink {
+  util::JsonWriter* json;
+  std::string* csv;
+  std::string_view key;
+
+  template <class T>
+  void operator()(T value) const {
+    if (json != nullptr) {
+      json->field(key, value);
+    } else {
+      append_cell(*csv, value);
+    }
+  }
+};
 
 /// Where a per-stream field sits in the CSV row.  The column order is
 /// frozen, as scripts read columns by position: the columns added
@@ -27,19 +59,19 @@ using Value = std::variant<long long, std::size_t, double, bool, const char*>;
 /// JSON object keeps table order.
 enum class Csv { kLead, kTail, kNone };
 
-/// One per-stream field: its key and a getter, a plain function made
-/// from a captureless lambda.  The null row stands for the fault
-/// counters (kFaultCounters).
+/// One per-stream field: its key, and a plain function that reads the
+/// field from a stream (the captureless lambda `get`) into a Sink.  The
+/// null row stands for the fault counters (kFaultCounters).
 struct StreamField {
   template <class Get>
-  constexpr StreamField(const char* key, Get, Csv block = Csv::kLead)
+  constexpr StreamField(std::string_view key, Get, Csv block = Csv::kLead)
       : name(key),
-        get([](const S& s) -> Value { return Get{}(s); }),
+        put([](const S& s, const Sink& out) { out(Get{}(s)); }),
         csv(block) {}
   constexpr StreamField(std::nullptr_t) : csv(Csv::kTail) {}
 
-  const char* name = nullptr;
-  Value (*get)(const S&) = nullptr;
+  std::string_view name;
+  void (*put)(const S&, const Sink&) = nullptr;
   Csv csv;
 };
 
@@ -98,13 +130,14 @@ constexpr StreamField kAdmittedFields[] = {
     {"kbps", [](auto& s) { return s.result.achieved_bps / 1e3; }},
 };
 
-/// Calls `fn(name, get)` for each key `f` stands for, where `get(s)`
-/// is the key's value for stream `s`.
+/// Calls `fn(name, put)` for each key `f` stands for, where
+/// `put(s, sink)` writes the key's value for stream `s`.
 template <class Fn>
 void for_each_key(const StreamField& f, Fn&& fn) {
-  if (f.get != nullptr) return fn(f.name, f.get);
+  if (f.put != nullptr) return fn(f.name, f.put);
   for (const auto& [name, counter] : kFaultCounters) {
-    fn(name, [counter](const S& s) -> Value { return s.faults.*counter; });
+    fn(name,
+       [counter](const S& s, const Sink& out) { out(s.faults.*counter); });
   }
 }
 
@@ -403,8 +436,8 @@ std::string to_json(const FarmResult& r) {
   w.key("streams");
   w.begin_array();
   for (const StreamOutcome& so : r.streams) {
-    const auto field = [&](const char* name, auto get) {
-      std::visit([&](auto v) { w.field(name, v); }, get(so));
+    const auto field = [&](std::string_view name, auto put) {
+      put(so, Sink{&w, nullptr, name});
     };
     w.begin_object();
     for (const StreamField& f : kOfferFields) for_each_key(f, field);
@@ -477,18 +510,17 @@ std::string to_json(const FarmResult& r) {
 }
 
 std::string to_csv(const FarmResult& r) {
-  std::ostringstream os;
-  os << std::setprecision(17);
+  std::string out;
   // One CSV line: the header when `so` is null, else the stream's row.
   // The offer fields all lead.
   const auto line = [&](const S* so) {
     const char* sep = "";
-    const auto cell = [&](const char* name, auto get) {
-      os << std::exchange(sep, ",");
+    const auto cell = [&](std::string_view name, auto put) {
+      out += std::exchange(sep, ",");
       if (so == nullptr) {
-        os << name;
+        out += name;
       } else {
-        std::visit([&](auto v) { os << v; }, get(*so));
+        put(*so, Sink{nullptr, &out, name});
       }
     };
     for (const StreamField& f : kOfferFields) for_each_key(f, cell);
@@ -497,10 +529,12 @@ std::string to_csv(const FarmResult& r) {
         if (f.csv == block) for_each_key(f, cell);
       }
     }
-    os << '\n';
+    out += '\n';
   };
   line(nullptr);
   for (const StreamOutcome& so : r.streams) line(&so);
+  std::ostringstream os;
+  os << std::setprecision(17);
   // Metrics table, blank-line separated from the stream table so the
   // file stays trivially splittable.  A counter row reads as a
   // histogram whose count and sum are the counter's value and whose
@@ -529,7 +563,7 @@ std::string to_csv(const FarmResult& r) {
          << '\n';
     }
   }
-  return os.str();
+  return out + os.str();
 }
 
 }  // namespace qosctrl::farm

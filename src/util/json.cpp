@@ -105,8 +105,14 @@ void JsonWriter::key(std::string_view k) {
 
 void JsonWriter::string(std::string_view s) {
   out_ += '"';
-  for (const char c : s) {
+  // Copies runs of bytes that need no escape in one append each.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
     const auto u = static_cast<unsigned char>(c);
+    if (u >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.substr(run, i - run));
+    run = i + 1;
     if (c == '"' || c == '\\') {
       out_ += '\\';
       out_ += c;
@@ -114,14 +120,13 @@ void JsonWriter::string(std::string_view s) {
       out_ += "\\n";
     } else if (c == '\t') {
       out_ += "\\t";
-    } else if (u < 0x20) {
+    } else {
       out_ += "\\u00";
       out_ += "0123456789abcdef"[u >> 4];
       out_ += "0123456789abcdef"[u & 0xf];
-    } else {
-      out_ += c;
     }
   }
+  out_.append(s.substr(run));
   out_ += '"';
 }
 
