@@ -117,7 +117,7 @@ constexpr StreamField kAdmittedFields[] = {
     {"max_start_lag", [](auto& s) { return s.max_start_lag; }},
     {"mean_start_lag", [](auto& s) { return s.mean_start_lag; }},
     {"start_lag_p95", [](auto& s) { return s.start_lag_p95; }, Csv::kTail},
-    {nullptr},
+    {nullptr},  // the fault counters
     {"quarantined", [](auto& s) { return s.quarantined; }, Csv::kTail},
     {"failovers", [](auto& s) { return s.failover.size(); }, Csv::kTail},
     {"mean_psnr", [](auto& s) { return s.result.mean_psnr; }},

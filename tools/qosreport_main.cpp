@@ -214,7 +214,7 @@ void render_slo_table(const JsonValue& slo, std::ostringstream& html) {
     const std::string v = verdict != nullptr ? verdict->as_string()
                           : met != nullptr && met->as_bool() ? "met"
                                                               : "missed";
-    std::string label = v == "no_data" ? "NO DATA" : v;
+    std::string label = v;
     for (char& c : label) {
       c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
     }
