@@ -36,43 +36,31 @@ void append_cell(std::string& out, T value) {
   out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
-/// Where a per-stream value goes: the member `key` of a JSON object,
-/// or the next cell of a CSV row.
-struct Sink {
-  util::JsonWriter* json;
-  std::string* csv;
-  std::string_view key;
-
-  template <class T>
-  void operator()(T value) const {
-    if (json != nullptr) {
-      json->field(key, value);
-    } else {
-      append_cell(*csv, value);
-    }
-  }
-};
-
 /// Where a per-stream field sits in the CSV row.  The column order is
 /// frozen, as scripts read columns by position: the columns added
 /// after the first layout sit at the end of the row (kTail), while the
 /// JSON object keeps table order.
 enum class Csv { kLead, kTail, kNone };
 
-/// One per-stream field: its key, and a plain function that reads the
-/// field from a stream (the captureless lambda `get`) into a Sink.  The
-/// null row stands for the fault counters (kFaultCounters).
+/// One per-stream field: its key, and two plain functions made from
+/// the captureless lambda `get` that read the field from a stream and
+/// write it as the JSON member `k` or append it as a CSV cell.  The null
+/// row stands for the fault counters (kFaultCounters).
 struct StreamField {
   template <class Get>
-  constexpr StreamField(std::string_view key, Get, Csv block = Csv::kLead)
+  constexpr StreamField(std::string_view key, Get, Csv in = Csv::kLead)
       : name(key),
-        put([](const S& s, const Sink& out) { out(Get{}(s)); }),
-        csv(block) {}
-  constexpr StreamField(std::nullptr_t) : csv(Csv::kTail) {}
+        json([](const S& s, util::JsonWriter& w, std::string_view k) {
+          w.field(k, Get{}(s));
+        }),
+        csv([](const S& s, std::string& out) { append_cell(out, Get{}(s)); }),
+        block(in) {}
+  constexpr StreamField(std::nullptr_t) : block(Csv::kTail) {}
 
   std::string_view name;
-  void (*put)(const S&, const Sink&) = nullptr;
-  Csv csv;
+  void (*json)(const S&, util::JsonWriter&, std::string_view) = nullptr;
+  void (*csv)(const S&, std::string&) = nullptr;
+  Csv block;
 };
 
 /// Fields of every offered stream.  A rejected stream's JSON object
@@ -130,14 +118,20 @@ constexpr StreamField kAdmittedFields[] = {
     {"kbps", [](auto& s) { return s.result.achieved_bps / 1e3; }},
 };
 
-/// Calls `fn(name, put)` for each key `f` stands for, where
-/// `put(s, sink)` writes the key's value for stream `s`.
+/// Calls `fn(name, json, csv)` for each key `f` stands for, with the
+/// key's writers as in StreamField.
 template <class Fn>
 void for_each_key(const StreamField& f, Fn&& fn) {
-  if (f.put != nullptr) return fn(f.name, f.put);
+  if (f.json != nullptr) return fn(f.name, f.json, f.csv);
   for (const auto& [name, counter] : kFaultCounters) {
-    fn(name,
-       [counter](const S& s, const Sink& out) { out(s.faults.*counter); });
+    fn(
+        name,
+        [c = counter](const S& s, util::JsonWriter& w, std::string_view k) {
+          w.field(k, s.faults.*c);
+        },
+        [c = counter](const S& s, std::string& out) {
+          append_cell(out, s.faults.*c);
+        });
   }
 }
 
@@ -436,8 +430,8 @@ std::string to_json(const FarmResult& r) {
   w.key("streams");
   w.begin_array();
   for (const StreamOutcome& so : r.streams) {
-    const auto field = [&](std::string_view name, auto put) {
-      put(so, Sink{&w, nullptr, name});
+    const auto field = [&](std::string_view name, auto json, auto) {
+      json(so, w, name);
     };
     w.begin_object();
     for (const StreamField& f : kOfferFields) for_each_key(f, field);
@@ -515,18 +509,18 @@ std::string to_csv(const FarmResult& r) {
   // The offer fields all lead.
   const auto line = [&](const S* so) {
     const char* sep = "";
-    const auto cell = [&](std::string_view name, auto put) {
+    const auto cell = [&](std::string_view name, auto, auto csv) {
       out += std::exchange(sep, ",");
       if (so == nullptr) {
         out += name;
       } else {
-        put(*so, Sink{nullptr, &out, name});
+        csv(*so, out);
       }
     };
     for (const StreamField& f : kOfferFields) for_each_key(f, cell);
     for (const Csv block : {Csv::kLead, Csv::kTail}) {
       for (const StreamField& f : kAdmittedFields) {
-        if (f.csv == block) for_each_key(f, cell);
+        if (f.block == block) for_each_key(f, cell);
       }
     }
     out += '\n';
