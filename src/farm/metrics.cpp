@@ -557,7 +557,8 @@ std::string to_csv(const FarmResult& r) {
          << '\n';
     }
   }
-  return out + os.str();
+  out += os.str();
+  return out;
 }
 
 }  // namespace qosctrl::farm
