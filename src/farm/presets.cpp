@@ -174,52 +174,54 @@ FarmScenario compile_mixed_geometry(int n, std::uint64_t seed) {
   return scenario;
 }
 
-/// Every preset once: its kind, name, default size and compiler.
-struct Preset {
-  PresetKind kind;
-  const char* name;
-  int default_streams;
-  FarmScenario (*compile)(int n, std::uint64_t seed);
-};
-
-constexpr Preset kPresets[] = {
-    {PresetKind::kDiurnal, "diurnal", 48, compile_diurnal},
-    {PresetKind::kFlashCrowd, "flash-crowd", 64,
-     [](int n, std::uint64_t) { return compile_flash_crowd(n); }},
-    {PresetKind::kChurnHeavy, "churn-heavy", 80, compile_churn_heavy},
-    {PresetKind::kMixedGeometry, "mixed-geometry", 40, compile_mixed_geometry},
-};
-
-const Preset& preset(PresetKind kind) {
-  for (const Preset& p : kPresets) {
-    if (p.kind == kind) return p;
-  }
-  QC_EXPECT(false, "unknown preset kind");
-  return kPresets[0];
-}
-
 }  // namespace
 
 bool parse_preset_name(const char* name, PresetKind* out) {
-  for (const Preset& p : kPresets) {
-    if (std::strcmp(name, p.name) == 0) {
-      *out = p.kind;
-      return true;
-    }
+  if (std::strcmp(name, "diurnal") == 0) {
+    *out = PresetKind::kDiurnal;
+  } else if (std::strcmp(name, "flash-crowd") == 0) {
+    *out = PresetKind::kFlashCrowd;
+  } else if (std::strcmp(name, "churn-heavy") == 0) {
+    *out = PresetKind::kChurnHeavy;
+  } else if (std::strcmp(name, "mixed-geometry") == 0) {
+    *out = PresetKind::kMixedGeometry;
+  } else {
+    return false;
   }
-  return false;
+  return true;
 }
 
-const char* preset_name(PresetKind kind) { return preset(kind).name; }
+const char* preset_name(PresetKind kind) {
+  switch (kind) {
+    case PresetKind::kDiurnal:
+      return "diurnal";
+    case PresetKind::kFlashCrowd:
+      return "flash-crowd";
+    case PresetKind::kChurnHeavy:
+      return "churn-heavy";
+    case PresetKind::kMixedGeometry:
+      return "mixed-geometry";
+  }
+  return "?";
+}
 
 std::vector<PresetKind> all_presets() {
-  std::vector<PresetKind> out;
-  for (const Preset& p : kPresets) out.push_back(p.kind);
-  return out;
+  return {PresetKind::kDiurnal, PresetKind::kFlashCrowd,
+          PresetKind::kChurnHeavy, PresetKind::kMixedGeometry};
 }
 
 int default_preset_streams(PresetKind kind) {
-  return preset(kind).default_streams;
+  switch (kind) {
+    case PresetKind::kDiurnal:
+      return 48;
+    case PresetKind::kFlashCrowd:
+      return 64;
+    case PresetKind::kChurnHeavy:
+      return 80;
+    case PresetKind::kMixedGeometry:
+      return 40;
+  }
+  return 0;
 }
 
 FarmScenario compile_preset(PresetKind kind, const PresetParams& params) {
@@ -227,7 +229,21 @@ FarmScenario compile_preset(PresetKind kind, const PresetParams& params) {
   const int n = params.num_streams > 0 ? params.num_streams
                                        : default_preset_streams(kind);
   const std::uint64_t seed = params.seed != 0 ? params.seed : 7;
-  FarmScenario scenario = preset(kind).compile(n, seed);
+  FarmScenario scenario;
+  switch (kind) {
+    case PresetKind::kDiurnal:
+      scenario = compile_diurnal(n, seed);
+      break;
+    case PresetKind::kFlashCrowd:
+      scenario = compile_flash_crowd(n);
+      break;
+    case PresetKind::kChurnHeavy:
+      scenario = compile_churn_heavy(n, seed);
+      break;
+    case PresetKind::kMixedGeometry:
+      scenario = compile_mixed_geometry(n, seed);
+      break;
+  }
   std::stable_sort(scenario.streams.begin(), scenario.streams.end(),
                    [](const StreamSpec& a, const StreamSpec& b) {
                      return a.join_time != b.join_time
