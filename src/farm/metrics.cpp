@@ -18,121 +18,95 @@ const char* mode_name(pipe::ControlMode mode) {
   return obs::tracks::kClassNames[static_cast<std::size_t>(mode)];
 }
 
-using S = StreamOutcome;
-
 /// Appends one CSV cell as the CSV has always printed its cells (an
-/// ostream at precision 17): doubles as %.17g, bools as 0 or 1.
-void append_cell(std::string& out, const char* text) { out += text; }
+/// ostream at precision 17): text as is, doubles as %.17g, bools as 0
+/// or 1.
 template <class T>
-void append_cell(std::string& out, T value) {
-  char buf[32];
-  char* end = buf;
-  if constexpr (std::is_floating_point_v<T>) {
-    end = std::to_chars(buf, buf + sizeof buf, value,
-                        std::chars_format::general, 17).ptr;
+void append_cell(std::string& out, const T& value) {
+  if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out += std::string_view(value);
   } else {
-    end = std::to_chars(buf, buf + sizeof buf, +value).ptr;
+    char buf[32];
+    std::to_chars_result res;
+    if constexpr (std::is_floating_point_v<T>) {
+      res = std::to_chars(buf, buf + sizeof buf, value,
+                          std::chars_format::general, 17);
+    } else {
+      res = std::to_chars(buf, buf + sizeof buf, +value);
+    }
+    out.append(buf, res.ptr);
   }
-  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+/// Appends `cells` to `out`, each after a comma, then ends the line.
+template <class... T>
+void append_row(std::string& out, const T&... cells) {
+  ((out += ',', append_cell(out, cells)), ...);
+  out += '\n';
 }
 
 /// Where a per-stream field sits in the CSV row.  The column order is
 /// frozen, as scripts read columns by position: the columns added
 /// after the first layout sit at the end of the row (kTail), while the
-/// JSON object keeps table order.
+/// JSON object keeps field order.
 enum class Csv { kLead, kTail, kNone };
 
-/// One per-stream field: its key, and two plain functions made from
-/// the captureless lambda `get` that read the field from a stream and
-/// write it as the JSON member `k` or append it as a CSV cell.  The null
-/// row stands for the fault counters (kFaultCounters).
-struct StreamField {
-  template <class Get>
-  constexpr StreamField(std::string_view key, Get, Csv in = Csv::kLead)
-      : name(key),
-        json([](const S& s, util::JsonWriter& w, std::string_view k) {
-          w.field(k, Get{}(s));
-        }),
-        csv([](const S& s, std::string& out) { append_cell(out, Get{}(s)); }),
-        block(in) {}
-  constexpr StreamField(std::nullptr_t) : block(Csv::kTail) {}
+/// Calls `f(key, value)` for each field of an offered stream, in JSON
+/// order.  A rejected stream's JSON object ends after these with its
+/// "reason".
+template <class F>
+void offer_fields(const StreamOutcome& s, F&& f) {
+  f("id", s.spec.id);
+  f("mode", mode_name(s.spec.mode));
+  f("width", s.spec.width);
+  f("height", s.spec.height);
+  f("buffer_capacity", s.spec.buffer_capacity);
+  f("frame_period", period_of(s.spec));
+  f("join_time", s.spec.join_time);
+  f("num_frames", s.spec.num_frames);
+  f("admitted", s.placement.admitted);
+}
 
-  std::string_view name;
-  void (*json)(const S&, util::JsonWriter&, std::string_view) = nullptr;
-  void (*csv)(const S&, std::string&) = nullptr;
-  Csv block;
-};
-
-/// Fields of every offered stream.  A rejected stream's JSON object
-/// ends after these with its "reason".
-constexpr StreamField kOfferFields[] = {
-    {"id", [](auto& s) { return s.spec.id; }},
-    {"mode", [](auto& s) { return mode_name(s.spec.mode); }},
-    {"width", [](auto& s) { return s.spec.width; }},
-    {"height", [](auto& s) { return s.spec.height; }},
-    {"buffer_capacity", [](auto& s) { return s.spec.buffer_capacity; }},
-    {"frame_period", [](auto& s) { return period_of(s.spec); }},
-    {"join_time", [](auto& s) { return s.spec.join_time; }},
-    {"num_frames", [](auto& s) { return s.spec.num_frames; }},
-    {"admitted", [](auto& s) { return s.placement.admitted; }},
-};
-
-/// Fields of an admitted stream.  A rejected stream's CSV row reads
-/// them too: its defaults print processor -1 and zeros.
-constexpr StreamField kAdmittedFields[] = {
-    {"processor", [](auto& s) { return s.placement.processor; }},
-    {"table_budget", [](auto& s) { return s.placement.table_budget; }},
-    {"committed_cost", [](auto& s) { return s.placement.committed_cost; }},
-    {"migrated", [](auto& s) { return s.placement.migrated; }},
-    {"degraded", [](auto& s) { return s.placement.degraded; }},
-    {"split", [](auto& s) { return s.placement.split; }},
-    {"tail_processor", [](auto& s) { return s.placement.tail_processor; },
-     Csv::kNone},
-    {"via_renegotiation",
-     [](auto& s) { return s.placement.via_renegotiation; }},
-    {"renegotiated", [](auto& s) { return s.renegotiated; }},
-    {"restored", [](auto& s) { return s.restored; }},
-    {"final_budget",
-     [](auto& s) {
-       return active_epochs(s).empty() ? s.placement.table_budget
-                                       : active_epochs(s).back().table_budget;
-     }},
-    {"initial_quality", [](auto& s) { return s.placement.initial_quality; }},
-    {"skips", [](auto& s) { return s.result.total_skips; }},
-    {"concealed", [](auto& s) { return s.result.total_concealed; }, Csv::kTail},
-    {"display_misses", [](auto& s) { return s.display_misses; }},
-    {"internal_misses", [](auto& s) { return s.internal_misses; }},
-    {"max_start_lag", [](auto& s) { return s.max_start_lag; }},
-    {"mean_start_lag", [](auto& s) { return s.mean_start_lag; }},
-    {"start_lag_p95", [](auto& s) { return s.start_lag_p95; }, Csv::kTail},
-    {nullptr},  // the fault counters
-    {"quarantined", [](auto& s) { return s.quarantined; }, Csv::kTail},
-    {"failovers", [](auto& s) { return s.failover.size(); }, Csv::kTail},
-    {"mean_psnr", [](auto& s) { return s.result.mean_psnr; }},
-    {"psnr_p5", [](auto& s) { return s.result.psnr_stats.p5; }},
-    {"psnr_min", [](auto& s) { return s.result.psnr_stats.min; }},
-    {"mean_ssim", [](auto& s) { return s.result.mean_ssim; }},
-    {"ssim_p5", [](auto& s) { return s.result.ssim_stats.p5; }},
-    {"ssim_min", [](auto& s) { return s.result.ssim_stats.min; }},
-    {"mean_quality", [](auto& s) { return s.result.mean_quality; }},
-    {"kbps", [](auto& s) { return s.result.achieved_bps / 1e3; }},
-};
-
-/// Calls `fn(name, json, csv)` for each key `f` stands for, with the
-/// key's writers as in StreamField.
-template <class Fn>
-void for_each_key(const StreamField& f, Fn&& fn) {
-  if (f.json != nullptr) return fn(f.name, f.json, f.csv);
-  for (const auto& [name, counter] : kFaultCounters) {
-    fn(
-        name,
-        [c = counter](const S& s, util::JsonWriter& w, std::string_view k) {
-          w.field(k, s.faults.*c);
-        },
-        [c = counter](const S& s, std::string& out) {
-          append_cell(out, s.faults.*c);
-        });
+/// Calls `f(key, value[, block])` for each field of an admitted stream;
+/// the block defaults to kLead.  A rejected stream's CSV row reads them
+/// too: its defaults print processor -1 and zeros.
+template <class F>
+void admitted_fields(const StreamOutcome& s, F&& f) {
+  const Placement& p = s.placement;
+  const std::vector<BudgetEpoch>& epochs = active_epochs(s);
+  f("processor", p.processor);
+  f("table_budget", p.table_budget);
+  f("committed_cost", p.committed_cost);
+  f("migrated", p.migrated);
+  f("degraded", p.degraded);
+  f("split", p.split);
+  f("tail_processor", p.tail_processor, Csv::kNone);
+  f("via_renegotiation", p.via_renegotiation);
+  f("renegotiated", s.renegotiated);
+  f("restored", s.restored);
+  f("final_budget",
+    epochs.empty() ? p.table_budget : epochs.back().table_budget);
+  f("initial_quality", p.initial_quality);
+  f("skips", s.result.total_skips);
+  f("concealed", s.result.total_concealed, Csv::kTail);
+  f("display_misses", s.display_misses);
+  f("internal_misses", s.internal_misses);
+  f("max_start_lag", s.max_start_lag);
+  f("mean_start_lag", s.mean_start_lag);
+  f("start_lag_p95", s.start_lag_p95, Csv::kTail);
+  for (const auto& [key, counter] : kFaultCounters) {
+    f(key, s.faults.*counter, Csv::kTail);
   }
+  f("quarantined", s.quarantined, Csv::kTail);
+  f("failovers", s.failover.size(), Csv::kTail);
+  f("mean_psnr", s.result.mean_psnr);
+  f("psnr_p5", s.result.psnr_stats.p5);
+  f("psnr_min", s.result.psnr_stats.min);
+  f("mean_ssim", s.result.mean_ssim);
+  f("ssim_p5", s.result.ssim_stats.p5);
+  f("ssim_min", s.result.ssim_stats.min);
+  f("mean_quality", s.result.mean_quality);
+  f("kbps", s.result.achieved_bps / 1e3);
 }
 
 }  // namespace
@@ -429,18 +403,17 @@ std::string to_json(const FarmResult& r) {
   w.end_array();
   w.key("streams");
   w.begin_array();
+  const auto field = [&w](std::string_view key, const auto& value,
+                          Csv = Csv::kLead) { w.field(key, value); };
   for (const StreamOutcome& so : r.streams) {
-    const auto field = [&](std::string_view name, auto json, auto) {
-      json(so, w, name);
-    };
     w.begin_object();
-    for (const StreamField& f : kOfferFields) for_each_key(f, field);
+    offer_fields(so, field);
     if (!so.placement.admitted) {
       w.field("reason", so.placement.reason);
       w.end_object();
       continue;
     }
-    for (const StreamField& f : kAdmittedFields) for_each_key(f, field);
+    admitted_fields(so, field);
     w.key("phase_cycles");
     w.begin_object();
     for (int ph = 0; ph < enc::kNumEncodePhases; ++ph) {
@@ -505,59 +478,61 @@ std::string to_json(const FarmResult& r) {
 
 std::string to_csv(const FarmResult& r) {
   std::string out;
-  // One CSV line: the header when `so` is null, else the stream's row.
-  // The offer fields all lead.
-  const auto line = [&](const S* so) {
-    const char* sep = "";
-    const auto cell = [&](std::string_view name, auto, auto csv) {
-      out += std::exchange(sep, ",");
-      if (so == nullptr) {
-        out += name;
-      } else {
-        csv(*so, out);
-      }
-    };
-    for (const StreamField& f : kOfferFields) for_each_key(f, cell);
+  // One CSV line: the header when `header`, else the stream's row.  The
+  // offer fields lead, then the kLead and the kTail admitted fields.
+  const auto line = [&out](const StreamOutcome& so, bool header) {
     for (const Csv block : {Csv::kLead, Csv::kTail}) {
-      for (const StreamField& f : kAdmittedFields) {
-        if (f.block == block) for_each_key(f, cell);
-      }
+      const auto cell = [&](std::string_view key, const auto& value,
+                            Csv in = Csv::kLead) {
+        if (in != block) return;
+        if (header) {
+          out += key;
+        } else {
+          append_cell(out, value);
+        }
+        out += ',';
+      };
+      offer_fields(so, cell);
+      admitted_fields(so, cell);
     }
-    out += '\n';
+    out.back() = '\n';
   };
-  line(nullptr);
-  for (const StreamOutcome& so : r.streams) line(&so);
-  std::ostringstream os;
-  os << std::setprecision(17);
+  out.reserve(r.streams.size() * 128);
+  line(StreamOutcome{}, true);
+  for (const StreamOutcome& so : r.streams) line(so, false);
   // Metrics table, blank-line separated from the stream table so the
   // file stays trivially splittable.  A counter row reads as a
   // histogram whose count and sum are the counter's value and whose
   // other stats are 0.
-  os << "\nmetric,kind";
-  for (const auto& [stat, of] : obs::kHistogramStats) os << ',' << stat;
+  out += "\nmetric,kind";
+  for (const auto& [stat, of] : obs::kHistogramStats) (out += ',') += stat;
+  out += '\n';
   for (const auto& [name, h] : r.metrics.histograms()) {
-    os << '\n' << name << ",histogram";
-    for (const auto& [stat, of] : obs::kHistogramStats) os << ',' << of(h);
+    (out += name) += ",histogram";
+    for (const auto& [stat, of] : obs::kHistogramStats) {
+      append_cell(out += ',', of(h));
+    }
+    out += '\n';
   }
   for (const auto& [name, v] : r.metrics.counters()) {
-    os << '\n' << name << ",counter," << v << ',' << v;
-    for (std::size_t i = 2; i < obs::kHistogramStats.size(); ++i) os << ",0";
+    (out += name) += ",counter";
+    for (std::size_t i = 0; i < std::size(obs::kHistogramStats); ++i) {
+      append_cell(out += ',', i < 2 ? v : 0);
+    }
+    out += '\n';
   }
-  os << '\n';
   // SLO verdict table, again blank-line separated, only when
   // objectives were configured (the spec grammar has no commas).
   if (!r.slo.objectives.empty()) {
-    os << "\nslo,points,violations,worst_window,worst_value,"
-          "budget_remaining,alerts,met,verdict\n";
+    out += "\nslo,points,violations,worst_window,worst_value,"
+           "budget_remaining,alerts,met,verdict\n";
     for (const obs::SloOutcome& o : r.slo.objectives) {
-      os << o.spec.text << ',' << o.points << ',' << o.violations << ','
-         << o.worst_window << ',' << o.worst_value << ','
-         << o.budget_remaining << ',' << o.alerts.size() << ','
-         << (o.met() ? 1 : 0) << ',' << obs::slo_verdict_name(o.verdict)
-         << '\n';
+      out += o.spec.text;
+      append_row(out, o.points, o.violations, o.worst_window, o.worst_value,
+                 o.budget_remaining, o.alerts.size(), o.met(),
+                 obs::slo_verdict_name(o.verdict));
     }
   }
-  out += os.str();
   return out;
 }
 

@@ -67,7 +67,6 @@
 // the per-shard accounting and merges the event sinks.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "farm/admission.h"
@@ -144,7 +143,7 @@ struct StreamFaultStats {
 /// The StreamFaultStats counters and their report keys, in report
 /// order: the fleet sum, the JSON fleet and stream objects, and the CSV
 /// columns all walk this list.
-inline constexpr std::pair<std::string_view, int StreamFaultStats::*>
+inline constexpr std::pair<const char*, int StreamFaultStats::*>
     kFaultCounters[] = {
     {"overruns_injected", &StreamFaultStats::overruns_injected},
     {"overruns_policed", &StreamFaultStats::overruns_policed},

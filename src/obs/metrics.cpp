@@ -57,16 +57,6 @@ long long Histogram::percentile(double p) const {
   return bucket_upper(kNumBuckets - 1);
 }
 
-const std::array<HistogramStat, 7> kHistogramStats = {{
-    {"count", [](const Histogram& h) { return h.count(); }},
-    {"sum", [](const Histogram& h) { return h.sum(); }},
-    {"min", [](const Histogram& h) { return h.min(); }},
-    {"max", [](const Histogram& h) { return h.max(); }},
-    {"p50", [](const Histogram& h) { return h.percentile(0.50); }},
-    {"p95", [](const Histogram& h) { return h.percentile(0.95); }},
-    {"p99", [](const Histogram& h) { return h.percentile(0.99); }},
-}};
-
 void Registry::merge(const Registry& other) {
   for (const auto& [name, value] : other.counters_) {
     counters_[name] += value;

@@ -19,7 +19,6 @@
 // precision next to the histogram tails.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -64,13 +63,19 @@ class Histogram {
   long long max_ = 0;
 };
 
-/// A histogram statistic a report writes: its name and its reader.
-using HistogramStat = std::pair<const char*, long long (*)(const Histogram&)>;
-
-/// The stats every report writes per histogram, in output order: the
-/// registry's JSON object and summary line, the series' window rows,
-/// and the farm CSV's metric table.
-extern const std::array<HistogramStat, 7> kHistogramStats;
+/// The stats every report writes per histogram, by name and reader, in
+/// output order: the registry's JSON object and summary line, the
+/// series' window rows, and the farm CSV's metric table.
+inline constexpr std::pair<const char*, long long (*)(const Histogram&)>
+    kHistogramStats[] = {
+        {"count", [](const Histogram& h) { return h.count(); }},
+        {"sum", [](const Histogram& h) { return h.sum(); }},
+        {"min", [](const Histogram& h) { return h.min(); }},
+        {"max", [](const Histogram& h) { return h.max(); }},
+        {"p50", [](const Histogram& h) { return h.percentile(0.50); }},
+        {"p95", [](const Histogram& h) { return h.percentile(0.95); }},
+        {"p99", [](const Histogram& h) { return h.percentile(0.99); }},
+};
 
 /// Named counters + histograms with deterministic (name-sorted)
 /// serialization.  Not thread-safe: the farm keeps one registry per
