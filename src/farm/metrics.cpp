@@ -5,7 +5,6 @@
 #include <sstream>
 #include <string_view>
 #include <type_traits>
-#include <utility>
 
 #include "encoder/body.h"
 #include "obs/buildinfo.h"
@@ -497,7 +496,7 @@ std::string to_csv(const FarmResult& r) {
     }
     out.back() = '\n';
   };
-  out.reserve(r.streams.size() * 128);
+  out.reserve(r.streams.size() * 128);  // rows run to ~100 bytes
   line(StreamOutcome{}, true);
   for (const StreamOutcome& so : r.streams) line(so, false);
   // Metrics table, blank-line separated from the stream table so the
