@@ -1,18 +1,37 @@
-// Small argument-parsing and file-output helpers shared by the CLI
-// front-ends (qosfarm, qoseval).  Header-only; tools/ is not part of
-// the library, so this lives next to the mains.
+// Command-line front end shared by the tools (qosfarm, qoseval,
+// qosreport): each tool declares its flags as one table of entries
+// (flag, value syntax, one-line meaning, setter), one loop walks argv
+// against it, and --help prints from the same entries.  Also here: the
+// value parsers the setters use, and the flags qosfarm and qoseval
+// share.  Header-only; tools/ is not part of the library, so this
+// lives next to the mains.  docs/cli.md is the flag reference.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "farm/faults.h"
+#include "obs/buildinfo.h"
+#include "obs/slo.h"
+#include "rt/types.h"
+#include "sched/policy.h"
+
 namespace qosctrl::cli {
+
+// ----- Value parsers: false (and *out unspecified) on a bad value.
 
 inline bool parse_int(const char* s, int* out) {
   char* end = nullptr;
@@ -28,6 +47,24 @@ inline bool parse_u64(const char* s, std::uint64_t* out) {
   const unsigned long long v = std::strtoull(s, &end, 10);
   if (end == s || *end != '\0') return false;
   *out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+/// A base-10 integer in [lo, hi].
+template <typename T>
+bool parse_integer(const char* s, T* out,
+                   std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
+                   std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  T v{};
+  if constexpr (std::is_same_v<T, int>) {
+    if (!parse_int(s, &v)) return false;
+  } else {
+    std::uint64_t u = 0;
+    if (!parse_u64(s, &u)) return false;
+    v = static_cast<T>(u);
+  }
+  if (v < lo || v > hi) return false;
+  *out = v;
   return true;
 }
 
@@ -63,27 +100,251 @@ inline std::vector<std::string> split_commas(const char* s) {
   return out;
 }
 
-/// Comma-separated positive finite doubles.
-inline bool parse_double_list(const char* s, std::vector<double>* out) {
+/// A non-empty comma list, each item read by `parse_item(item, &v)`.
+template <typename T, typename ParseItem>
+bool parse_list(const char* s, std::vector<T>* out, ParseItem parse_item) {
   out->clear();
   for (const std::string& item : split_commas(s)) {
-    double v = 0.0;
-    if (!parse_double(item.c_str(), &v) || v <= 0.0) return false;
+    T v{};
+    if (!parse_item(item.c_str(), &v)) return false;
     out->push_back(v);
   }
   return !out->empty();
 }
 
-/// "LO" or "LO:HI" into [lo, hi] (hi = lo when no colon).
-inline bool parse_int_range(const char* s, int* lo, int* hi) {
+/// Comma-separated positive finite doubles.
+inline bool parse_double_list(const char* s, std::vector<double>* out) {
+  return parse_list(s, out, [](const char* item, double* v) {
+    return parse_double(item, v) && *v > 0.0;
+  });
+}
+
+/// "LO" or "LO:HI" frame counts with 1 <= LO <= HI (HI = LO when no
+/// colon).
+inline bool parse_frame_range(const char* s, int* lo, int* hi) {
   const char* colon = std::strchr(s, ':');
   if (colon == nullptr) {
     if (!parse_int(s, lo)) return false;
     *hi = *lo;
-    return true;
+  } else if (!parse_int(std::string(s, colon).c_str(), lo) ||
+             !parse_int(colon + 1, hi)) {
+    return false;
   }
-  const std::string first(s, colon);
-  return parse_int(first.c_str(), lo) && parse_int(colon + 1, hi);
+  return *lo >= 1 && *hi >= *lo;
+}
+
+/// "P@T" (permanent) or "P@T+R" (transient, repairs after R > 0
+/// cycles).  The processor is range-checked once --procs is known.
+inline bool parse_failure(const char* s, farm::FailureEvent* ev) {
+  const char* at = std::strchr(s, '@');
+  if (!at || at == s) return false;
+  if (!parse_integer(std::string(s, at).c_str(), &ev->processor, 0)) {
+    return false;
+  }
+  ev->repair = 0;
+  if (const char* plus = std::strchr(at + 1, '+')) {
+    return parse_integer(std::string(at + 1, plus).c_str(), &ev->time, 0) &&
+           parse_integer(plus + 1, &ev->repair, 1);
+  }
+  return parse_integer(at + 1, &ev->time, 0);
+}
+
+// ----- The flag table.
+
+/// Stores a flag's value (nullptr for a switch).  False rejects the
+/// value; a setter may say why in *why.
+using Setter = std::function<bool(const char* value, std::string* why)>;
+
+struct Flag {
+  const char* name;     ///< "--procs"
+  const char* syntax;   ///< value placeholder ("N"); nullptr for a switch
+  const char* meaning;  ///< its line of --help
+  Setter set;
+};
+using Flags = std::vector<Flag>;
+
+/// An integer in [lo, hi].
+template <typename T>
+Setter integer(T* out,
+               std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
+               std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  return [=](const char* v, std::string*) {
+    return parse_integer(v, out, lo, hi);
+  };
+}
+
+/// A value read by `parse(value, out)`: a name, a spec, a list.
+template <typename T, typename Parse>
+Setter parsed(T* out, Parse parse) {
+  return [=](const char* v, std::string*) { return parse(v, out); };
+}
+
+/// A non-empty comma list of items read by `parse_item`.
+template <typename T, typename ParseItem>
+Setter list(std::vector<T>* out, ParseItem parse_item) {
+  return [=](const char* v, std::string*) {
+    return parse_list(v, out, parse_item);
+  };
+}
+
+inline Setter fraction(double* out) { return parsed(out, parse_fraction); }
+
+inline Setter text(const char** out) {
+  return [=](const char* v, std::string*) {
+    *out = v;
+    return true;
+  };
+}
+
+inline Setter on(bool* out) {
+  return [=](const char*, std::string*) { return *out = true; };
+}
+
+/// One tool's command line, "<tool> <command> [flags]".
+class Cli {
+ public:
+  /// `groups` are the table's entries in --help order.
+  Cli(const char* tool, const char* command,
+      std::initializer_list<Flags> groups)
+      : tool_(tool), command_(command) {
+    for (const Flags& g : groups) {
+      flags_.insert(flags_.end(), g.begin(), g.end());
+    }
+  }
+
+  /// Walks argv and runs each flag's setter.  Returns -1 when the tool
+  /// should go on, else its exit status: 0 after --help or --version,
+  /// 2 after a usage error (printed with the usage).
+  int parse(int argc, char** argv) const {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--version") {
+        std::printf("%s\n", obs::version_line(tool_).c_str());
+        return 0;
+      }
+      if (arg == "--help" || arg == "-h") {
+        print_help();
+        return 0;
+      }
+      if (i == 1) {
+        if (arg != command_) return fail("unknown command %s", argv[i]);
+        continue;
+      }
+      const auto flag =
+          std::find_if(flags_.begin(), flags_.end(),
+                       [&](const Flag& f) { return arg == f.name; });
+      if (flag == flags_.end()) return fail("unknown option %s", argv[i]);
+      const char* value = nullptr;
+      if (flag->syntax != nullptr) {
+        if (i + 1 == argc) {
+          return fail("%s needs a value (%s)", flag->name, flag->syntax);
+        }
+        value = argv[++i];
+      }
+      std::string why;
+      if (!flag->set(value, &why)) {
+        return fail("bad %s '%s'%s%s", flag->name, value ? value : "",
+                    why.empty() ? "" : ": ", why.c_str());
+      }
+    }
+    if (argc < 2) return fail("no command");
+    return -1;
+  }
+
+  /// Prints "<tool>: <message>" and the usage to stderr; returns 2.
+  [[gnu::format(printf, 2, 3)]] int fail(const char* format, ...) const {
+    std::fprintf(stderr, "%s: ", tool_);
+    va_list args;
+    va_start(args, format);
+    std::vfprintf(stderr, format, args);
+    va_end(args);
+    std::fputc('\n', stderr);
+    print_usage(stderr);
+    return 2;
+  }
+
+ private:
+  void print_usage(std::FILE* to) const {
+    std::fprintf(to,
+                 "usage: %s %s [options]\n"
+                 "       %s --help | --version\n",
+                 tool_, command_, tool_);
+  }
+
+  void print_help() const {
+    print_usage(stdout);
+    auto label = [](const Flag& f) {
+      return f.syntax ? std::string(f.name) + ' ' + f.syntax : f.name;
+    };
+    std::size_t width = 0;
+    for (const Flag& f : flags_) width = std::max(width, label(f).size());
+    std::puts("\noptions:");
+    for (const Flag& f : flags_) {
+      std::printf("  %-*s  %s\n", static_cast<int>(width), label(f).c_str(),
+                  f.meaning);
+    }
+  }
+
+  const char* tool_;
+  const char* command_;
+  Flags flags_;
+};
+
+// ----- Flags qosfarm and qoseval share.
+
+inline Flags fault_flags(farm::FaultSpec* f) {
+  return {
+      {"--overrun-prob", "F", "per-frame WCET-overrun probability",
+       fraction(&f->overrun.probability)},
+      {"--overrun-policy", "P", "abort, downgrade or quarantine",
+       parsed(&f->overrun.policy, farm::parse_overrun_policy)},
+      {"--loss-prob", "F", "per-frame loss probability",
+       fraction(&f->loss.probability)},
+      {"--fault-seed", "S", "root of the fault draws (default: farm seed)",
+       integer(&f->seed)},
+  };
+}
+
+inline Flags policy_flags(sched::PolicyParams* p) {
+  return {
+      {"--quantum", "C", "quantum policy's preemption spacing in cycles",
+       integer(&p->quantum, 1)},
+      {"--ctx-switch", "C", "context-switch cost in cycles",
+       integer(&p->context_switch_cost, 0)},
+      {"--admission", "A", "demand test: qpa (default) or exact",
+       parsed(&p->demand_algo, sched::parse_demand_algo_name)},
+  };
+}
+
+/// The windowed time series and the objectives scored over it.
+inline Flags series_flags(rt::Cycles* window,
+                          std::vector<obs::SloSpec>* slos) {
+  return {
+      {"--ts-window", "W", "time-series window in cycles (default off)",
+       integer(window, 1)},
+      {"--slo", "SPEC", "objective, e.g. 'miss_rate<=0.02' (repeatable)",
+       [=](const char* v, std::string* why) {
+         obs::SloSpec spec;
+         if (!obs::parse_slo(v, &spec, why)) return false;
+         slos->push_back(std::move(spec));
+         return true;
+       }},
+  };
+}
+
+/// The needs-a-window check: windowed objectives read the series, and
+/// only recovery_latency evaluates without it.  Returns the complaint,
+/// or "" when every objective can be scored.
+inline std::string slo_window_error(rt::Cycles window,
+                                    const std::vector<obs::SloSpec>& slos) {
+  for (const obs::SloSpec& spec : slos) {
+    if (window == 0 && spec.metric != obs::SloMetric::kRecoveryLatency) {
+      return "--slo '" + spec.text +
+             "' needs --ts-window (only recovery_latency evaluates "
+             "without the series)";
+    }
+  }
+  return "";
 }
 
 /// Writes `content` (plus a trailing newline) to `path`; complains on

@@ -10,13 +10,8 @@
 // tables.  The output is a single HTML file with no external assets or
 // scripts, so it can be archived as a CI artifact and opened anywhere.
 //
-// Usage:
-//   qosreport render --in report.json --out dashboard.html [--title T]
-//
-// Options:
-//   --in PATH    qosfarm --json export to render (required)
-//   --out PATH   HTML file to write (required)
-//   --title T    dashboard heading (default: the input path)
+// `qosreport render --in report.json --out dashboard.html`; docs/cli.md
+// lists the flags.
 #include <algorithm>
 #include <cctype>
 #include <cmath>
@@ -37,17 +32,6 @@ namespace {
 
 using qosctrl::util::JsonKind;
 using qosctrl::util::JsonValue;
-
-const char kUsage[] =
-    "usage: qosreport render --in report.json --out dashboard.html\n"
-    "                        [--title T]\n"
-    "       qosreport --version\n"
-    "       qosreport --help\n";
-
-int usage() {
-  std::fputs(kUsage, stderr);
-  return 2;
-}
 
 std::string html_escape(const std::string& s) {
   std::string out;
@@ -384,41 +368,21 @@ const char kStyle[] =
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--version") == 0) {
-    std::printf("%s\n",
-                qosctrl::obs::version_line("qosreport").c_str());
-    return 0;
-  }
-  if (argc >= 2 && (std::strcmp(argv[1], "--help") == 0 ||
-                    std::strcmp(argv[1], "-h") == 0)) {
-    std::fputs(kUsage, stdout);
-    return 0;
-  }
-  if (argc < 2 || std::strcmp(argv[1], "render") != 0) return usage();
-
   const char* in_path = nullptr;
   const char* out_path = nullptr;
   const char* title = nullptr;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (std::strcmp(arg, "--in") == 0) {
-      in_path = value();
-      if (!in_path) return usage();
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = value();
-      if (!out_path) return usage();
-    } else if (std::strcmp(arg, "--title") == 0) {
-      title = value();
-      if (!title) return usage();
-    } else {
-      std::fprintf(stderr, "qosreport: unknown option %s\n", arg);
-      return usage();
-    }
+  const qosctrl::cli::Cli cli("qosreport", "render", {{
+      {"--in", "PATH", "the farm JSON report to render (required)",
+       qosctrl::cli::text(&in_path)},
+      {"--out", "PATH", "HTML file to write (required)",
+       qosctrl::cli::text(&out_path)},
+      {"--title", "T", "dashboard heading (default: the input path)",
+       qosctrl::cli::text(&title)},
+  }});
+  if (const int status = cli.parse(argc, argv); status >= 0) return status;
+  if (in_path == nullptr || out_path == nullptr) {
+    return cli.fail("render needs --in and --out");
   }
-  if (in_path == nullptr || out_path == nullptr) return usage();
 
   std::ifstream in(in_path);
   if (!in) {
