@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdarg>
 #include <cstdint>
@@ -33,38 +34,29 @@ namespace qosctrl::cli {
 
 // ----- Value parsers: false (and *out unspecified) on a bad value.
 
-inline bool parse_int(const char* s, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-inline bool parse_u64(const char* s, std::uint64_t* out) {
-  if (*s == '-') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-/// A base-10 integer in [lo, hi].
+/// A base-10 integer that T holds and that lies in [lo, hi].  A value
+/// out of either range is rejected, never clamped or wrapped.
 template <typename T>
 bool parse_integer(const char* s, T* out,
                    std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
                    std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
-  T v{};
-  if constexpr (std::is_same_v<T, int>) {
-    if (!parse_int(s, &v)) return false;
+  using Wide = std::conditional_t<std::is_signed_v<T>, long long,
+                                  unsigned long long>;
+  // strtoull would wrap a minus sign instead of refusing it.
+  if (std::is_unsigned_v<T> && std::strchr(s, '-') != nullptr) return false;
+  char* end = nullptr;
+  errno = 0;
+  Wide v = 0;
+  if constexpr (std::is_signed_v<T>) {
+    v = std::strtoll(s, &end, 10);
   } else {
-    std::uint64_t u = 0;
-    if (!parse_u64(s, &u)) return false;
-    v = static_cast<T>(u);
+    v = std::strtoull(s, &end, 10);
   }
-  if (v < lo || v > hi) return false;
-  *out = v;
+  if (end == s || *end != '\0' || errno == ERANGE ||
+      v < static_cast<Wide>(lo) || v > static_cast<Wide>(hi)) {
+    return false;
+  }
+  *out = static_cast<T>(v);
   return true;
 }
 
@@ -124,10 +116,10 @@ inline bool parse_double_list(const char* s, std::vector<double>* out) {
 inline bool parse_frame_range(const char* s, int* lo, int* hi) {
   const char* colon = std::strchr(s, ':');
   if (colon == nullptr) {
-    if (!parse_int(s, lo)) return false;
+    if (!parse_integer(s, lo)) return false;
     *hi = *lo;
-  } else if (!parse_int(std::string(s, colon).c_str(), lo) ||
-             !parse_int(colon + 1, hi)) {
+  } else if (!parse_integer(std::string(s, colon).c_str(), lo) ||
+             !parse_integer(colon + 1, hi)) {
     return false;
   }
   return *lo >= 1 && *hi >= *lo;

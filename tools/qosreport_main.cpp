@@ -314,7 +314,7 @@ void render_timeseries(const JsonValue& doc, std::ostringstream& html) {
     }
     if (name.compare(0, cpu_prefix.size(), cpu_prefix) == 0) {
       int cpu = 0;
-      if (qosctrl::cli::parse_int(name.c_str() + cpu_prefix.size(), &cpu)) {
+      if (qosctrl::cli::parse_integer(name.c_str() + cpu_prefix.size(), &cpu)) {
         cpu_tracks.emplace(cpu, std::move(track));
         continue;
       }
