@@ -1,20 +1,27 @@
-// Deterministic mutation harness for the two parsers that read outside
-// input: util::parse_json (qosreport reads reports back with it) and
-// obs::parse_slo (the --slo flag).  Each seeded input is cut at every
+// Deterministic mutation harness for the parsers that read outside
+// input: util::parse_json (qosreport reads reports back with it),
+// obs::parse_slo (the --slo flag) and the CLI value parsers and integer
+// setters of tools/cli_util.h.  Each seeded input is cut at every
 // length, has single bits flipped, and gets bytes inserted, deleted
 // and duplicated, one to four edits at a time.  Every mutant must
 // parse or fail without crashing (the sanitizer build turns memory
 // errors and undefined behaviour into failures), and every mutant that
-// parses must re-serialize and parse back to the same value.
+// parses must re-serialize and parse back to the same value; a CLI
+// value must also lie in its flag's range.
 //
 // The mutants are drawn from util::Rng with fixed seeds, so a failure
 // reproduces exactly; the failing input is printed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cli_util.h"
 #include "obs/slo.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -289,6 +296,196 @@ TEST(ParseMutationTest, SloMutantsParseOrFailAndRoundTrip) {
     }
   }
   EXPECT_GT(parsed, 1000);
+}
+
+// ----- CLI values.
+
+/// Runs `parse(text, &value)` over the mutants of every seed.  An
+/// accepted mutant must be `valid(text, value)`: in its flag's range
+/// and, for integers, the very number the text spells.  Its `format`ted
+/// text must parse back to a value that formats the same.  Returns the
+/// number of accepted mutants.
+template <typename T, typename Parse, typename Format, typename Valid>
+long long check_cli_values(const std::vector<std::string>& seeds,
+                           std::uint64_t rng_seed, Parse parse,
+                           Format format, Valid valid) {
+  long long accepted = 0;
+  for (const std::string& seed : seeds) {
+    for (const std::string& mutant : mutants(seed, 2000, rng_seed++)) {
+      // What argv can carry: the bytes up to the first NUL.
+      const std::string text = mutant.c_str();
+      T v{};
+      if (!parse(text.c_str(), &v)) continue;
+      ++accepted;
+      EXPECT_TRUE(valid(text, v))
+          << "mutant: " << text << "\nread as: " << format(v);
+      const std::string again = format(v);
+      T back{};
+      EXPECT_TRUE(parse(again.c_str(), &back))
+          << "mutant: " << text << "\nrewritten: " << again;
+      EXPECT_EQ(format(back), again) << "mutant: " << text;
+    }
+  }
+  return accepted;
+}
+
+/// An accepted integer text as the number it spells: no leading
+/// blanks, '+' or zeros, and "-0" is "0".  A value that does not print
+/// as this was wrapped, narrowed or clamped.
+std::string spelled(const std::string& t) {
+  std::size_t i = t.find_first_not_of(" \t\n\v\f\r");
+  if (i == std::string::npos) return t;
+  bool negative = false;
+  if (t[i] == '+' || t[i] == '-') negative = t[i++] == '-';
+  i = std::min(t.find_first_not_of('0', i), t.size() - 1);
+  const std::string digits = t.substr(i);
+  return (negative && digits != "0" ? "-" : "") + digits;
+}
+
+template <typename T>
+std::string join(const std::vector<T>& items, std::string (*format)(T)) {
+  std::string out;
+  for (const T& item : items) out += (out.empty() ? "" : ",") + format(item);
+  return out;
+}
+
+std::string decimal(std::uint64_t v) { return std::to_string(v); }
+
+TEST(ParseMutationTest, FailureSpecsParseInRangeAndRoundTrip) {
+  auto format = [](const farm::FailureEvent& ev) {
+    std::string t =
+        std::to_string(ev.processor) + '@' + std::to_string(ev.time);
+    if (!ev.permanent()) t += '+' + std::to_string(ev.repair);
+    return t;
+  };
+  const auto accepted = check_cli_values<farm::FailureEvent>(
+      {"1@20000000+15000000", "0@0", "3@9223372036854775807",
+       "2147483647@1+9223372036854775807"},
+      200, cli::parse_failure, format,
+      [&](const std::string& text, const farm::FailureEvent& ev) {
+        const std::size_t at = text.find('@');
+        const std::size_t plus = text.find('+', at + 1);
+        std::string t = spelled(text.substr(0, at)) + '@' +
+                        spelled(text.substr(at + 1, plus - at - 1));
+        if (plus != std::string::npos) {
+          t += '+' + spelled(text.substr(plus + 1));
+        }
+        return ev.processor >= 0 && ev.time >= 0 && ev.repair >= 0 &&
+               t == format(ev);
+      });
+  EXPECT_GT(accepted, 1000);
+}
+
+TEST(ParseMutationTest, FrameRangesParseInRangeAndRoundTrip) {
+  using Range = std::pair<int, int>;
+  auto format = [](const Range& r) {
+    return std::to_string(r.first) + ':' + std::to_string(r.second);
+  };
+  const auto accepted = check_cli_values<Range>(
+      {"8:24", "4", "1:2147483647"}, 300,
+      [](const char* s, Range* r) {
+        return cli::parse_frame_range(s, &r->first, &r->second);
+      },
+      format,
+      [&](const std::string& text, const Range& r) {
+        const std::size_t colon = text.find(':');
+        const std::string lo = spelled(text.substr(0, colon));
+        const std::string hi =
+            colon == std::string::npos ? lo : spelled(text.substr(colon + 1));
+        return r.first >= 1 && r.second >= r.first &&
+               lo + ':' + hi == format(r);
+      });
+  EXPECT_GT(accepted, 500);
+}
+
+TEST(ParseMutationTest, CommaListsParseInRangeAndRoundTrip) {
+  using Doubles = std::vector<double>;
+  const auto doubles = check_cli_values<Doubles>(
+      {"3,4,6", "1.5,2,3,4,6,8", "0.001,1e300,4.9e-324"}, 400,
+      cli::parse_double_list,
+      [](const Doubles& v) { return join(v, &JsonWriter::number); },
+      [](const std::string&, const Doubles& v) {
+        if (v.empty()) return false;
+        for (const double d : v) {
+          if (!(d > 0.0) || !std::isfinite(d)) return false;
+        }
+        return true;
+      });
+  EXPECT_GT(doubles, 1000);
+
+  using Seeds = std::vector<std::uint64_t>;
+  const auto seeds = check_cli_values<Seeds>(
+      {"7,11,19", "18446744073709551615,0"}, 500,
+      [](const char* s, Seeds* out) {
+        return cli::parse_list(s, out, [](const char* item, auto* v) {
+          return cli::parse_integer(item, v);
+        });
+      },
+      [](const Seeds& v) { return join(v, &decimal); },
+      [](const std::string& text, const Seeds& v) {
+        std::string t;
+        for (const std::string& item : cli::split_commas(text.c_str())) {
+          t += (t.empty() ? "" : ",") + spelled(item);
+        }
+        return !v.empty() && t == join(v, &decimal);
+      });
+  EXPECT_GT(seeds, 500);
+
+  using Kinds = std::vector<sched::PolicyKind>;
+  const auto kinds = check_cli_values<Kinds>(
+      {"np,preemptive,quantum", "quantum"}, 600,
+      [](const char* s, Kinds* out) {
+        return cli::parse_list(s, out, sched::parse_policy_name);
+      },
+      [](const Kinds& v) {
+        std::string out;
+        for (const sched::PolicyKind k : v) {
+          out += (out.empty() ? "" : ",") + std::string(sched::policy_name(k));
+        }
+        return out;
+      },
+      [](const std::string&, const Kinds& v) { return !v.empty(); });
+  EXPECT_GT(kinds, 100);
+}
+
+TEST(ParseMutationTest, FractionsParseInRangeAndRoundTrip) {
+  const auto accepted = check_cli_values<double>(
+      {"0.25", "1", "0", "1e-300", "0.9999999999999999"}, 700,
+      cli::parse_fraction, &JsonWriter::number,
+      [](const std::string&, double v) { return v >= 0.0 && v <= 1.0; });
+  EXPECT_GT(accepted, 1000);
+}
+
+/// The setter of a flag declared as cli::integer(&x, lo, hi).
+template <typename T>
+long long check_integer_setter(const std::vector<std::string>& seeds,
+                               std::uint64_t rng_seed, T lo, T hi) {
+  return check_cli_values<T>(
+      seeds, rng_seed,
+      [=](const char* s, T* out) {
+        return cli::integer(out, lo, hi)(s, nullptr);
+      },
+      [](T v) { return std::to_string(v); },
+      [=](const std::string& text, T v) {
+        return v >= lo && v <= hi && spelled(text) == std::to_string(v);
+      });
+}
+
+TEST(ParseMutationTest, IntegerSettersAcceptOnlyTheirRange) {
+  EXPECT_GT(check_integer_setter<int>({"2", "64", "-2147483648"}, 800, 1, 64),
+            100);
+  EXPECT_GT(check_integer_setter<int>({"2147483647", "-2147483648", "0"}, 810,
+                                      std::numeric_limits<int>::min(),
+                                      std::numeric_limits<int>::max()),
+            1000);
+  EXPECT_GT(check_integer_setter<rt::Cycles>(
+                {"1000000", "9223372036854775807", "18446744073709551615"},
+                820, 1, std::numeric_limits<rt::Cycles>::max()),
+            1000);
+  EXPECT_GT(check_integer_setter<std::uint64_t>(
+                {"18446744073709551615", "7", "0"}, 830, 0,
+                std::numeric_limits<std::uint64_t>::max()),
+            1000);
 }
 
 }  // namespace
