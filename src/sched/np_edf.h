@@ -106,7 +106,7 @@ struct EdfScanStats {
 /// Per-call knobs for a demand test, shared by both algorithms.
 ///
 /// `busy_seed` warm-starts the busy-period fixpoint (QPA only; the
-/// exact scan ignores it so the `--admission exact` baseline stays
+/// exact scan ignores it so the exact-scan reference stays
 /// byte-for-byte the original test).  Contract: the seed must be a
 /// lower bound on the set's true synchronous busy-period length —
 /// any previously computed busy length of a SUBSET of the tasks

@@ -73,27 +73,6 @@ const char* policy_name(PolicyKind kind) {
   return "?";
 }
 
-const char* demand_algo_name(DemandAlgo algo) {
-  switch (algo) {
-    case DemandAlgo::kExactScan:
-      return "exact";
-    case DemandAlgo::kQpa:
-      return "qpa";
-  }
-  return "?";
-}
-
-bool parse_demand_algo_name(const char* name, DemandAlgo* out) {
-  for (const DemandAlgo algo :
-       {DemandAlgo::kExactScan, DemandAlgo::kQpa}) {
-    if (std::strcmp(name, demand_algo_name(algo)) == 0) {
-      *out = algo;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool parse_policy_name(const char* name, PolicyKind* out) {
   for (const PolicyKind kind :
        {PolicyKind::kNonPreemptiveEdf, PolicyKind::kPreemptiveEdf,

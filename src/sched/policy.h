@@ -48,13 +48,6 @@ const char* policy_name(PolicyKind kind);
 /// Inverse of policy_name; false (out untouched) on unknown names.
 bool parse_policy_name(const char* name, PolicyKind* out);
 
-/// Short stable name ("exact", "qpa") for the demand algorithm — the
-/// CLIs' --admission flag values.
-const char* demand_algo_name(DemandAlgo algo);
-
-/// Inverse of demand_algo_name; false (out untouched) on unknown.
-bool parse_demand_algo_name(const char* name, DemandAlgo* out);
-
 struct PolicyParams {
   PolicyKind kind = PolicyKind::kNonPreemptiveEdf;
   /// Cycles one context switch costs.  The data plane charges it on
@@ -66,8 +59,8 @@ struct PolicyParams {
   /// kQuantumEdf only: preemption boundary spacing (> 0).
   rt::Cycles quantum = 0;
   /// How schedulable() evaluates the demand criterion.  kQpa is the
-  /// production fast path; kExactScan (`--admission exact`) keeps the
-  /// original enumeration as the measured baseline.  Decisions are
+  /// production fast path; kExactScan keeps the original enumeration
+  /// as the tests' and benches' reference.  Decisions are
   /// identical (sched/qpa.h).
   DemandAlgo demand_algo = DemandAlgo::kQpa;
 };

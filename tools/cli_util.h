@@ -303,8 +303,6 @@ inline Flags policy_flags(sched::PolicyParams* p) {
        integer(&p->quantum, 1)},
       {"--ctx-switch", "C", "context-switch cost in cycles",
        integer(&p->context_switch_cost, 0)},
-      {"--admission", "A", "demand test: qpa (default) or exact",
-       parsed(&p->demand_algo, sched::parse_demand_algo_name)},
   };
 }
 
