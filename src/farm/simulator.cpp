@@ -1,7 +1,6 @@
 #include "farm/simulator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -9,12 +8,12 @@
 #include <optional>
 #include <queue>
 #include <set>
-#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "farm/event_sink.h"
 #include "util/check.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace qosctrl::farm {
@@ -1080,22 +1079,12 @@ std::vector<StreamRun> run_data_plane(const FarmScenario& scenario,
   }
   const int workers = std::clamp(config.workers, 1, config.num_processors);
   for (const std::vector<int>& procs : by_level) {
-    std::atomic<std::size_t> next_slot{0};
-    auto drain = [&] {
-      for (std::size_t s = next_slot.fetch_add(1); s < procs.size();
-           s = next_slot.fetch_add(1)) {
-        const auto p = static_cast<std::size_t>(procs[s]);
-        run_processor(config, scenario.sched, scenario.faults, outages[p],
-                      per_processor[p], &result.processors[p],
-                      sinks.processor(procs[s]));
-      }
-    };
-    const int nthreads = std::min(workers, static_cast<int>(procs.size()));
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nthreads - 1));
-    for (int w = 1; w < nthreads; ++w) pool.emplace_back(drain);
-    drain();
-    for (std::thread& t : pool) t.join();
+    util::parallel_for(procs.size(), workers, [&](std::size_t s) {
+      const auto p = static_cast<std::size_t>(procs[s]);
+      run_processor(config, scenario.sched, scenario.faults, outages[p],
+                    per_processor[p], &result.processors[p],
+                    sinks.processor(procs[s]));
+    });
   }
   return runs;
 }

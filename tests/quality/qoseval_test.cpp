@@ -110,6 +110,19 @@ TEST(QosEval, SweepIsBitIdenticalAcrossWorkerCounts) {
   const SweepResult b = run_sweep(two);
   EXPECT_EQ(to_csv(a), to_csv(b));
   EXPECT_EQ(summarize(a), summarize(b));
+
+  // More workers than cells: 8 workers on a 2-cell grid (one scenario,
+  // one policy, both quality policies) match one worker.
+  one.scenarios.resize(1);
+  one.sched_policies.resize(1);
+  one.renegotiate = {false};
+  SweepConfig eight = one;
+  eight.workers = 8;
+  const SweepResult c = run_sweep(one);
+  ASSERT_EQ(c.cells.size(), 2u);
+  const SweepResult d = run_sweep(eight);
+  EXPECT_EQ(to_csv(c), to_csv(d));
+  EXPECT_EQ(summarize(c), summarize(d));
 }
 
 TEST(QosEval, ControlledDominatesTheFixedQualityBaseline) {
