@@ -231,7 +231,13 @@ void StreamSession::score_against_display(FrameRecord* rec) {
   } else if (encoder_.has_reference()) {
     shown = &encoder_.reconstructed();
   }
-  if (shown == nullptr) return;  // nothing displayed yet: scores stay 0
+  if (shown == nullptr) {
+    // Nothing displayed yet: the viewer sees no picture at all, which
+    // scores 0 whatever the encoder made of the frame.
+    rec->psnr = 0.0;
+    rec->ssim = 0.0;
+    return;
+  }
   const media::Frame input = kept && encoded_index_ == rec->index
                                  ? std::move(*kept)
                                  : video_.frame(rec->index);

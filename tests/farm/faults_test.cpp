@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "farm/load_gen.h"
 #include "farm/metrics.h"
 #include "farm/simulator.h"
 
@@ -204,6 +206,40 @@ TEST(FarmFaults, ConcealmentDistortionIsMeasuredNotHidden) {
   // Concealment is not a deadline miss: the viewer saw stale output on
   // time.
   EXPECT_EQ(b.total_display_misses, 0);
+}
+
+// Measured quality must not rise as the loss probability grows, and
+// losing every frame must score below losing none.  A stream whose
+// frames are all lost never displays a picture, so its frames score 0
+// rather than the encoder's own quality.  The loss sets are nested (one
+// per-frame draw against p), yet SSIM may still rise between two
+// probabilities (0.35 -> 0.5 here): a frozen picture can resemble the
+// source better than a drifted decode.  So the PSNR sweep is pinned
+// monotone and SSIM only at the ends.
+TEST(FarmFaults, QualityFallsAsLossGrows) {
+  farm::LoadGenConfig load;
+  load.num_streams = 6;
+  load.min_frames = 8;
+  load.max_frames = 24;
+  load.seed = 7;
+  const FarmScenario clean = generate_scenario(load);
+  FarmConfig cfg;
+  cfg.num_processors = 2;
+  cfg.seed = load.seed * 0x9e3779b9ULL + 1;
+  std::vector<FarmResult> runs;
+  for (const double p : {0.0, 0.1, 0.25, 0.35, 0.5, 0.75, 0.9, 1.0}) {
+    FarmScenario lossy = clean;
+    lossy.faults.loss.probability = p;
+    runs.push_back(run_farm(lossy, cfg));
+    if (runs.size() > 1) {
+      EXPECT_LE(runs.back().fleet_mean_psnr,
+                runs[runs.size() - 2].fleet_mean_psnr)
+          << "p=" << p;
+    }
+  }
+  EXPECT_EQ(runs.back().total_concealed, runs.back().total_frames);
+  EXPECT_LT(runs.back().fleet_mean_psnr, runs.front().fleet_mean_psnr);
+  EXPECT_LT(runs.back().fleet_mean_ssim, runs.front().fleet_mean_ssim);
 }
 
 /// The full fault soup: overruns, losses, one transient and one

@@ -183,12 +183,12 @@ struct Golden {
 const Golden kGoldens[] = {
     {"faulted_preemptive", faulted_preemptive, 3, 0x4ec0f08bc94a9705ULL,
      0xaf44c2b646aa5088ULL, 0x668ac802ffc04a2bULL,
-     0x88228632fc02dfe9ULL, 0xfc63bc7dfaa550f1ULL,
-     0x787d5e1610dc46b2ULL},
+     0x7a6df492a743ddf8ULL, 0x700a9eed7660f552ULL,
+     0x8b3469910c464d51ULL},
     {"split_relay", split_relay, 3, 0x4503f4f3fc4ff41aULL,
      0x71d1d27c216d8559ULL, 0x7f2df721e939c32aULL,
-     0x8f6ba02d45fb7182ULL, 0x8973be77b4ceeeadULL,
-     0xfabc314009191257ULL},
+     0x5f4213538a54e352ULL, 0xe64f9bc95e4401e2ULL,
+     0xe1b6174ea1aa6ca8ULL},
     {"sharded_rebalance", sharded_rebalance, 4, 0xfd51e95ad8eab94fULL,
      0xea0c00cf6ed3f420ULL, 0x1916b6456eb7b9c3ULL,
      0x98c2fd6c06443bf9ULL, 0x42996964edd530f8ULL,
