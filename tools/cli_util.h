@@ -192,6 +192,21 @@ inline Setter on(bool* out) {
   return [=](const char*, std::string*) { return *out = true; };
 }
 
+/// Answers `arg` when it is --version (the build provenance) or --help
+/// / -h (`print_help`): returns the exit status 0 then, else -1.
+template <typename PrintHelp>
+int answer_help_or_version(const char* tool, const std::string& arg,
+                           PrintHelp print_help) {
+  if (arg == "--version") {
+    std::printf("%s\n", obs::version_line(tool).c_str());
+  } else if (arg == "--help" || arg == "-h") {
+    print_help();
+  } else {
+    return -1;
+  }
+  return 0;
+}
+
 /// One tool's command line, "<tool> <command> [flags]".
 class Cli {
  public:
@@ -208,15 +223,13 @@ class Cli {
   /// should go on, else its exit status: 0 after --help or --version,
   /// 2 after a usage error (printed with the usage).
   int parse(int argc, char** argv) const {
+    if (argc < 2) return fail("no command");
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--version") {
-        std::printf("%s\n", obs::version_line(tool_).c_str());
-        return 0;
-      }
-      if (arg == "--help" || arg == "-h") {
-        print_help();
-        return 0;
+      if (const int status =
+              answer_help_or_version(tool_, arg, [&] { print_help(); });
+          status >= 0) {
+        return status;
       }
       if (i == 1) {
         if (arg != command_) return fail("unknown command %s", argv[i]);
@@ -239,7 +252,6 @@ class Cli {
                     why.empty() ? "" : ": ", why.c_str());
       }
     }
-    if (argc < 2) return fail("no command");
     return -1;
   }
 

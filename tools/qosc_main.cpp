@@ -12,7 +12,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "obs/buildinfo.h"
+#include "cli_util.h"
 #include "qos/slack_tables.h"
 #include "sched/edf.h"
 #include "toolgen/codegen.h"
@@ -100,13 +100,10 @@ int main(int argc, char** argv) {
   // subcommand or a missing spec argument prints usage and exits
   // nonzero instead of half-working.
   if (argc < 2) return usage();
-  if (std::strcmp(argv[1], "--version") == 0) {
-    std::printf("%s\n", obs::version_line("qosc").c_str());
-    return 0;
-  }
-  if (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0) {
-    std::fputs(kUsage, stdout);
-    return 0;
+  if (const int status = cli::answer_help_or_version(
+          "qosc", argv[1], [] { std::fputs(kUsage, stdout); });
+      status >= 0) {
+    return status;
   }
   const char* command = argv[1];
   const bool known = std::strcmp(command, "check") == 0 ||
