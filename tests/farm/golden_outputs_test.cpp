@@ -1,8 +1,9 @@
 // Golden digests of the farm's outputs — the Chrome trace export, the
 // metrics registry JSON, the windowed series JSON, the whole JSON
-// report, the CSV and the text summary — over three scenarios that together reach every
-// trace EventKind the data and control planes can emit, plus faults,
-// failover, shards, series and SLO alerts.  The determinism pins
+// report, the CSV and the text summary — over four scenarios that
+// together reach every trace EventKind the data and control planes can
+// emit, plus faults, failover, shards, series, SLO alerts and every
+// scheduling policy.  The determinism pins
 // elsewhere compare runs against runs (workers x shards x policies),
 // so a change that shifts every run the same way passes them; these
 // FNV-1a digests pin the absolute bytes instead.  The trace, metrics
@@ -137,6 +138,31 @@ FarmResult split_relay() {
   return run_farm(sc, cfg);
 }
 
+/// Quantum-sliced EDF with a quantum well below a frame's cost, so
+/// earlier-deadline arrivals wait for a quantum boundary of the runner
+/// and then preempt it, each preemption paying two context switches.
+/// Post-encode loss and a transient outage that catches a frame in
+/// service ride along.
+FarmResult quantum_sliced() {
+  LoadGenConfig load;
+  load.num_streams = 12;
+  load.min_frames = 6;
+  load.max_frames = 12;
+  load.seed = 29;
+  FarmScenario sc = generate_scenario(load);
+  sc.sched.policy.kind = sched::PolicyKind::kQuantumEdf;
+  sc.sched.policy.quantum = 400000;
+  sc.sched.policy.context_switch_cost = platform::kContextSwitchCycles;
+  sc.faults.loss.probability = 0.1;
+  sc.faults.failures.push_back({1, 35500000, 5000000});
+  FarmConfig cfg;
+  cfg.num_processors = 3;
+  cfg.workers = 2;
+  cfg.trace = true;
+  cfg.ts_window = 4000000;
+  return run_farm(sc, cfg);
+}
+
 /// A two-shard plane with join batching per control epoch and the
 /// rebalancer on (the conservation scenario of shard_test), crowded
 /// enough that later joins land off their preferred processor or are
@@ -189,6 +215,10 @@ const Golden kGoldens[] = {
      0x71d1d27c216d8559ULL, 0x7f2df721e939c32aULL,
      0x5f4213538a54e352ULL, 0xe64f9bc95e4401e2ULL,
      0xe1b6174ea1aa6ca8ULL},
+    {"quantum_sliced", quantum_sliced, 3, 0x7922267aae696d13ULL,
+     0x135b3051cd4b1666ULL, 0xb4a920f998db5f0fULL,
+     0x7290d09c5aafcd37ULL, 0x4718f9561419f9e0ULL,
+     0xd37fa658d375c37dULL},
     {"sharded_rebalance", sharded_rebalance, 4, 0xfd51e95ad8eab94fULL,
      0xea0c00cf6ed3f420ULL, 0x1916b6456eb7b9c3ULL,
      0x98c2fd6c06443bf9ULL, 0x42996964edd530f8ULL,
@@ -211,6 +241,14 @@ TEST(GoldenOutputs, DigestsArePinned) {
         << g.name << " summary";
     EXPECT_EQ(r.trace_dropped, 0) << g.name;
   }
+}
+
+// The quantum_sliced pin covers quantum-boundary preemption only if
+// the scenario actually preempts.
+TEST(GoldenOutputs, QuantumScenarioPreempts) {
+  const FarmResult r = quantum_sliced();
+  EXPECT_GT(r.total_preemptions, 0);
+  EXPECT_GT(r.total_overhead_cycles, 0);
 }
 
 // kDeadlineMiss is the one kind no scenario reaches: admission
