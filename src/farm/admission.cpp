@@ -47,8 +47,12 @@ AdmissionController::AdmissionController(int num_processors,
                                          SchedulingSpec sched)
     : config_(std::move(config)),
       sched_(sched),
-      policy_(sched::make_policy(sched.policy)),
       tables_(tables) {
+  QC_EXPECT(sched_.policy.context_switch_cost >= 0,
+            "context switch cost must be >= 0");
+  QC_EXPECT(sched_.policy.kind != sched::PolicyKind::kQuantumEdf ||
+                sched_.policy.quantum > 0,
+            "quantum-sliced EDF needs a positive quantum");
   QC_EXPECT(num_processors >= 1, "farm needs at least one processor");
   QC_EXPECT(tables_ != nullptr, "admission needs a table cache");
   QC_EXPECT(config_.utilization_cap > 0.0 && config_.utilization_cap <= 1.0,
@@ -197,7 +201,7 @@ bool AdmissionController::fits(int p, const sched::NpTask& candidate) const {
   last_test_busy_ = 0;
   const sched::DemandQuery query{&scan_stats_, d.busy_hint,
                                  &last_test_busy_};
-  const bool ok = policy_->schedulable(d.tasks, query);
+  const bool ok = sched::schedulable(sched_.policy, d.tasks, query);
   d.tasks.pop_back();
   return ok;
 }
@@ -620,7 +624,7 @@ bool AdmissionController::set_schedulable(int p) const {
   last_test_busy_ = 0;
   const sched::DemandQuery query{&scan_stats_, d.busy_hint,
                                  &last_test_busy_};
-  return policy_->schedulable(d.tasks, query);
+  return sched::schedulable(sched_.policy, d.tasks, query);
 }
 
 void AdmissionController::restore_pass(int p, rt::Cycles now) {

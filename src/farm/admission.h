@@ -19,10 +19,10 @@
 // that budget.
 //
 // A processor's committed worst-case load is the task set of its
-// admitted streams; the admission test is the scenario's scheduling
-// policy (sched::SchedPolicy — non-preemptive EDF by default,
-// preemptive or quantum-sliced EDF when the scenario selects them)
-// plus a utilization cap.  An arriving stream is tried at its richest
+// admitted streams; the admission test is sched::schedulable under
+// the scenario's SchedulingSpec::policy (non-preemptive EDF by
+// default, preemptive or quantum-sliced EDF when the scenario selects
+// them) plus a utilization cap.  An arriving stream is tried at its richest
 // budget on its preferred processor first, then *migrated* (other
 // processors, same budget), then *split* (SchedulingSpec::split: the
 // C=D semi-partitioning heuristic divides the budget into a
@@ -243,7 +243,6 @@ class AdmissionController {
   }
   double committed_utilization(int processor) const;
   int committed_streams(int processor) const;
-  const sched::SchedPolicy& policy() const { return *policy_; }
 
   /// Cumulative demand-scan work done by every schedulability query
   /// this controller issued (admission, renegotiation, restore) — the
@@ -455,7 +454,6 @@ class AdmissionController {
 
   AdmissionConfig config_;
   SchedulingSpec sched_;
-  std::unique_ptr<sched::SchedPolicy> policy_;
   TableCache* tables_;
   std::vector<std::vector<Commitment>> committed_;  ///< per processor
   std::vector<bool> failed_;                        ///< per processor

@@ -220,9 +220,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
                    const std::vector<FailureEvent>& outages,
                    const std::vector<Assignment>& assigned,
                    ProcessorOutcome* out, EventSink& ev) {
-  const std::unique_ptr<sched::SchedPolicy> policy =
-      sched::make_policy(sched.policy);
-  const rt::Cycles ctx = policy->context_switch_cost();
+  const rt::Cycles ctx = sched.policy.context_switch_cost;
   const bool police_overruns = fault_spec.overrun.enabled();
   const bool inject_loss = fault_spec.loss.enabled();
   const OverrunSpec& ospec = fault_spec.overrun;
@@ -573,7 +571,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       return kNever;
     }
     const rt::Cycles pp =
-        policy->preemption_point(running->dispatched_at, now);
+        sched::preemption_point(sched.policy, running->dispatched_at, now);
     return pp >= sched::kNeverPreempts ? kNever : std::max(now, pp);
   };
 

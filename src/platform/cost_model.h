@@ -81,9 +81,9 @@ class CostModel {
 /// and restoring the encoder's working set, ~2.5 us at the paper's
 /// 8 GHz.  Small next to the 176000-cycle qmin frame worst case, but
 /// a preemption bills it twice (switch-out + switch-in), so the
-/// preemptive scheduling classes inflate committed costs by it
-/// (sched/preemptive_edf.h) and the farm's data plane charges it on
-/// every switch.
+/// preemptive scheduling policies inflate committed costs by it
+/// (sched/policy.h) and the farm's data plane charges it on every
+/// switch.
 inline constexpr rt::Cycles kContextSwitchCycles = 20000;
 
 /// Per-frame cost of hosting a stream away from its preferred

@@ -25,9 +25,8 @@
 //     (preemption waits at most one quantum boundary);
 //   * fully preemptive EDF: B(t) = 0 (the exact demand test).
 // edf_demand_schedulable exposes the blocking cap directly;
-// np_edf_schedulable is the uncapped non-preemptive instance the
-// farm has always used.  sched/preemptive_edf.h wraps the other two
-// and adds context-switch overhead inflation.
+// sched/policy.h picks the cap per policy and adds context-switch
+// overhead inflation.
 //
 // Sufficient (never admits an unschedulable set); exact up to the
 // blocking term.
@@ -130,11 +129,5 @@ struct DemandQuery {
 bool edf_demand_schedulable(const std::vector<NpTask>& tasks,
                             rt::Cycles max_blocking,
                             EdfScanStats* stats = nullptr);
-
-/// True when the task set is schedulable by non-preemptive EDF on one
-/// processor — edf_demand_schedulable with the uncapped blocking
-/// term.  Sufficient; subject to the scan caps above.
-bool np_edf_schedulable(const std::vector<NpTask>& tasks,
-                        EdfScanStats* stats = nullptr);
 
 }  // namespace qosctrl::sched

@@ -1,65 +1,12 @@
 #include "sched/policy.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sched/qpa.h"
 #include "util/check.h"
 
 namespace qosctrl::sched {
-namespace {
-
-class NonPreemptiveEdfPolicy final : public SchedPolicy {
- public:
-  explicit NonPreemptiveEdfPolicy(const PolicyParams& params)
-      : SchedPolicy(params) {}
-  PolicyKind kind() const override { return PolicyKind::kNonPreemptiveEdf; }
-  bool schedulable(const std::vector<NpTask>& tasks,
-                   const DemandQuery& query) const override {
-    return demand_schedulable(tasks, kUncappedBlocking,
-                              params_.demand_algo, query);
-  }
-  rt::Cycles preemption_point(rt::Cycles, rt::Cycles) const override {
-    return kNeverPreempts;
-  }
-};
-
-class PreemptiveEdfPolicy final : public SchedPolicy {
- public:
-  explicit PreemptiveEdfPolicy(const PolicyParams& params)
-      : SchedPolicy(params) {}
-  PolicyKind kind() const override { return PolicyKind::kPreemptiveEdf; }
-  bool schedulable(const std::vector<NpTask>& tasks,
-                   const DemandQuery& query) const override {
-    return demand_schedulable(
-        inflate_context_switch(tasks, params_.context_switch_cost), 0,
-        params_.demand_algo, query);
-  }
-  rt::Cycles preemption_point(rt::Cycles, rt::Cycles now) const override {
-    return now;
-  }
-};
-
-class QuantumEdfPolicy final : public SchedPolicy {
- public:
-  explicit QuantumEdfPolicy(const PolicyParams& params)
-      : SchedPolicy(params) {}
-  PolicyKind kind() const override { return PolicyKind::kQuantumEdf; }
-  bool schedulable(const std::vector<NpTask>& tasks,
-                   const DemandQuery& query) const override {
-    return demand_schedulable(
-        inflate_context_switch(tasks, params_.context_switch_cost),
-        params_.quantum, params_.demand_algo, query);
-  }
-  rt::Cycles preemption_point(rt::Cycles dispatched_at,
-                              rt::Cycles now) const override {
-    // Next multiple of the quantum from dispatch, at or after now.
-    const rt::Cycles served = now - dispatched_at;
-    const rt::Cycles q = params_.quantum;
-    return dispatched_at + (served + q - 1) / q * q;
-  }
-};
-
-}  // namespace
 
 const char* policy_name(PolicyKind kind) {
   switch (kind) {
@@ -85,21 +32,50 @@ bool parse_policy_name(const char* name, PolicyKind* out) {
   return false;
 }
 
-std::unique_ptr<SchedPolicy> make_policy(const PolicyParams& params) {
-  QC_EXPECT(params.context_switch_cost >= 0,
-            "context switch cost must be >= 0");
-  switch (params.kind) {
-    case PolicyKind::kNonPreemptiveEdf:
-      return std::make_unique<NonPreemptiveEdfPolicy>(params);
-    case PolicyKind::kPreemptiveEdf:
-      return std::make_unique<PreemptiveEdfPolicy>(params);
-    case PolicyKind::kQuantumEdf:
-      QC_EXPECT(params.quantum > 0,
-                "quantum-sliced EDF needs a positive quantum");
-      return std::make_unique<QuantumEdfPolicy>(params);
+std::vector<NpTask> inflate_context_switch(const std::vector<NpTask>& tasks,
+                                           rt::Cycles context_switch) {
+  QC_EXPECT(context_switch >= 0, "context switch cost must be >= 0");
+  if (context_switch == 0 || tasks.empty()) return tasks;
+  rt::Cycles max_deadline = tasks.front().deadline;
+  for (const NpTask& t : tasks) {
+    max_deadline = std::max(max_deadline, t.deadline);
   }
-  QC_EXPECT(false, "unknown scheduling policy kind");
-  return nullptr;
+  std::vector<NpTask> inflated = tasks;
+  for (NpTask& t : inflated) {
+    // Only a strictly-earlier-relative-deadline job can cause a
+    // preemption (switch-out + switch-in of the job it displaces).
+    if (t.deadline < max_deadline) t.cost += 2 * context_switch;
+  }
+  return inflated;
+}
+
+bool schedulable(const PolicyParams& policy, const std::vector<NpTask>& tasks,
+                 const DemandQuery& query) {
+  if (policy.kind == PolicyKind::kNonPreemptiveEdf) {
+    return demand_schedulable(tasks, kUncappedBlocking, policy.demand_algo,
+                              query);
+  }
+  const rt::Cycles blocking =
+      policy.kind == PolicyKind::kQuantumEdf ? policy.quantum : 0;
+  return demand_schedulable(
+      inflate_context_switch(tasks, policy.context_switch_cost), blocking,
+      policy.demand_algo, query);
+}
+
+rt::Cycles preemption_point(const PolicyParams& policy,
+                            rt::Cycles dispatched_at, rt::Cycles now) {
+  switch (policy.kind) {
+    case PolicyKind::kNonPreemptiveEdf:
+      return kNeverPreempts;
+    case PolicyKind::kPreemptiveEdf:
+      return now;
+    case PolicyKind::kQuantumEdf:
+      break;
+  }
+  // The next multiple of the quantum from dispatch, at or after now.
+  const rt::Cycles served = now - dispatched_at;
+  const rt::Cycles q = policy.quantum;
+  return dispatched_at + (served + q - 1) / q * q;
 }
 
 }  // namespace qosctrl::sched

@@ -14,11 +14,25 @@
 
 #include <vector>
 
-#include "sched/preemptive_edf.h"
+#include "sched/policy.h"
 #include "util/rng.h"
 
 namespace qosctrl::sched {
 namespace {
+
+// The three policies through the exact check-point scan, the
+// reference the QPA fast path is pinned against.
+constexpr PolicyParams kNp{PolicyKind::kNonPreemptiveEdf, 0, 0,
+                           DemandAlgo::kExactScan};
+
+PolicyParams preemptive(rt::Cycles context_switch = 0) {
+  return {PolicyKind::kPreemptiveEdf, context_switch, 0,
+          DemandAlgo::kExactScan};
+}
+
+PolicyParams quantum(rt::Cycles q) {
+  return {PolicyKind::kQuantumEdf, 0, q, DemandAlgo::kExactScan};
+}
 
 std::vector<NpTask> random_task_set(util::Rng& rng) {
   const int n = static_cast<int>(rng.uniform_i64(1, 5));
@@ -40,18 +54,17 @@ TEST(EdfProperty, PreemptiveAdmitsEverythingNpAdmits) {
   int np_yes = 0, preemptive_yes = 0;
   for (int trial = 0; trial < 2000; ++trial) {
     const std::vector<NpTask> tasks = random_task_set(rng);
-    const bool np = np_edf_schedulable(tasks);
-    const bool quantum = quantum_edf_schedulable(
-        tasks, rng.uniform_i64(1, 40));
-    const bool preemptive = preemptive_edf_schedulable(tasks);
+    const bool np = schedulable(kNp, tasks);
+    const bool sliced = schedulable(quantum(rng.uniform_i64(1, 40)), tasks);
+    const bool full = schedulable(preemptive(), tasks);
     np_yes += np ? 1 : 0;
-    preemptive_yes += preemptive ? 1 : 0;
+    preemptive_yes += full ? 1 : 0;
     if (np) {
-      EXPECT_TRUE(quantum) << "np-admissible set rejected by quantum EDF "
-                           << "(trial " << trial << ")";
+      EXPECT_TRUE(sliced) << "np-admissible set rejected by quantum EDF "
+                          << "(trial " << trial << ")";
     }
-    if (quantum) {
-      EXPECT_TRUE(preemptive)
+    if (sliced) {
+      EXPECT_TRUE(full)
           << "quantum-admissible set rejected by preemptive EDF (trial "
           << trial << ")";
     }
@@ -71,9 +84,9 @@ TEST(EdfProperty, OverUtilizationRejectedByEveryPolicy) {
     while (np_utilization(tasks) <= 1.0) {
       for (NpTask& t : tasks) t.cost += 1 + t.cost / 2;
     }
-    EXPECT_FALSE(np_edf_schedulable(tasks));
-    EXPECT_FALSE(quantum_edf_schedulable(tasks, 10));
-    EXPECT_FALSE(preemptive_edf_schedulable(tasks));
+    EXPECT_FALSE(schedulable(kNp, tasks));
+    EXPECT_FALSE(schedulable(quantum(10), tasks));
+    EXPECT_FALSE(schedulable(preemptive(), tasks));
   }
 }
 
@@ -81,8 +94,8 @@ TEST(EdfProperty, ContextSwitchCostOnlyShrinksTheAdmissibleSet) {
   util::Rng rng(424242);
   for (int trial = 0; trial < 500; ++trial) {
     const std::vector<NpTask> tasks = random_task_set(rng);
-    if (preemptive_edf_schedulable(tasks, 2)) {
-      EXPECT_TRUE(preemptive_edf_schedulable(tasks, 0))
+    if (schedulable(preemptive(2), tasks)) {
+      EXPECT_TRUE(schedulable(preemptive(0), tasks))
           << "overhead-inflated admission must imply zero-overhead "
           << "admission (trial " << trial << ")";
     }

@@ -1,15 +1,27 @@
-#include "sched/preemptive_edf.h"
+#include "sched/policy.h"
 
 #include <gtest/gtest.h>
-
-#include "sched/policy.h"
 
 namespace qosctrl::sched {
 namespace {
 
+// The three policies through the exact check-point scan, the
+// reference the QPA fast path is pinned against.
+constexpr PolicyParams kNp{PolicyKind::kNonPreemptiveEdf, 0, 0,
+                           DemandAlgo::kExactScan};
+
+PolicyParams preemptive(rt::Cycles context_switch = 0) {
+  return {PolicyKind::kPreemptiveEdf, context_switch, 0,
+          DemandAlgo::kExactScan};
+}
+
+PolicyParams quantum(rt::Cycles q, rt::Cycles context_switch = 0) {
+  return {PolicyKind::kQuantumEdf, context_switch, q, DemandAlgo::kExactScan};
+}
+
 TEST(PreemptiveEdf, EmptySetIsSchedulable) {
-  EXPECT_TRUE(preemptive_edf_schedulable({}));
-  EXPECT_TRUE(quantum_edf_schedulable({}, 10));
+  EXPECT_TRUE(schedulable(preemptive(), {}));
+  EXPECT_TRUE(schedulable(quantum(10), {}));
 }
 
 TEST(PreemptiveEdf, AdmitsTheClassicBlockingRejection) {
@@ -17,30 +29,30 @@ TEST(PreemptiveEdf, AdmitsTheClassicBlockingRejection) {
   // tight task under non-preemptive EDF (90 + 20 > 100), but the mix
   // is only U = 0.29 — preemptive EDF admits it.
   const std::vector<NpTask> mix = {{20, 100, 100}, {90, 1000, 1000}};
-  EXPECT_FALSE(np_edf_schedulable(mix));
-  EXPECT_TRUE(preemptive_edf_schedulable(mix));
+  EXPECT_FALSE(schedulable(kNp, mix));
+  EXPECT_TRUE(schedulable(preemptive(), mix));
   // A quantum no larger than the tight task's slack also admits it
   // (blocking capped at 80 = 100 - 20), while a quantum as long as the
   // blocking job restores the np rejection.
-  EXPECT_TRUE(quantum_edf_schedulable(mix, 80));
-  EXPECT_FALSE(quantum_edf_schedulable(mix, 90));
+  EXPECT_TRUE(schedulable(quantum(80), mix));
+  EXPECT_FALSE(schedulable(quantum(90), mix));
 }
 
 TEST(PreemptiveEdf, ExactAtFullUtilization) {
   // U = 1 implicit-deadline sets are exactly schedulable preemptively.
-  EXPECT_TRUE(preemptive_edf_schedulable({{1, 2, 2}, {4, 8, 8}}));
-  EXPECT_FALSE(np_edf_schedulable({{1, 2, 2}, {4, 8, 8}}));
+  EXPECT_TRUE(schedulable(preemptive(), {{1, 2, 2}, {4, 8, 8}}));
+  EXPECT_FALSE(schedulable(kNp, {{1, 2, 2}, {4, 8, 8}}));
 }
 
 TEST(PreemptiveEdf, OverUtilizationFails) {
-  EXPECT_FALSE(preemptive_edf_schedulable({{60, 100, 100}, {60, 100, 100}}));
-  EXPECT_FALSE(quantum_edf_schedulable({{60, 100, 100}, {60, 100, 100}}, 5));
+  EXPECT_FALSE(schedulable(preemptive(), {{60, 100, 100}, {60, 100, 100}}));
+  EXPECT_FALSE(schedulable(quantum(5), {{60, 100, 100}, {60, 100, 100}}));
 }
 
 TEST(PreemptiveEdf, ConstrainedDeadlineDemand) {
   // D < T: dbf at t = 5 is 3 + 3 > 5 -> reject even though U = 0.6.
-  EXPECT_FALSE(preemptive_edf_schedulable({{3, 5, 10}, {3, 5, 10}}));
-  EXPECT_TRUE(preemptive_edf_schedulable({{3, 6, 10}, {3, 10, 10}}));
+  EXPECT_FALSE(schedulable(preemptive(), {{3, 5, 10}, {3, 5, 10}}));
+  EXPECT_TRUE(schedulable(preemptive(), {{3, 6, 10}, {3, 10, 10}}));
 }
 
 TEST(PreemptiveEdf, ContextSwitchOverheadInflatesCosts) {
@@ -51,9 +63,9 @@ TEST(PreemptiveEdf, ContextSwitchOverheadInflatesCosts) {
   // deadline), so the max-deadline task rides free.
   std::vector<NpTask> tight(10, NpTask{9, 100, 100});
   tight.push_back(NpTask{1, 1000, 1000});
-  EXPECT_TRUE(preemptive_edf_schedulable(tight, 0));
-  EXPECT_FALSE(preemptive_edf_schedulable(tight, 1));
-  EXPECT_FALSE(quantum_edf_schedulable(tight, 50, 1));
+  EXPECT_TRUE(schedulable(preemptive(0), tight));
+  EXPECT_FALSE(schedulable(preemptive(1), tight));
+  EXPECT_FALSE(schedulable(quantum(50, 1), tight));
 }
 
 TEST(PreemptiveEdf, EqualDeadlineSetsPayNoSwitchCharge) {
@@ -62,8 +74,8 @@ TEST(PreemptiveEdf, EqualDeadlineSetsPayNoSwitchCharge) {
   // is provably zero and the exact-fit set stays admitted even with a
   // context-switch cost.  The flat 2-switch charge used to reject it.
   const std::vector<NpTask> tight(10, NpTask{9, 100, 100});
-  EXPECT_TRUE(preemptive_edf_schedulable(tight, 1));
-  EXPECT_TRUE(quantum_edf_schedulable(tight, 50, 1));
+  EXPECT_TRUE(schedulable(preemptive(1), tight));
+  EXPECT_TRUE(schedulable(quantum(50, 1), tight));
   const std::vector<NpTask> inflated =
       inflate_context_switch(tight, 7);
   for (const NpTask& t : inflated) EXPECT_EQ(t.cost, 9);
@@ -73,12 +85,11 @@ TEST(PreemptiveEdf, QuantumInterpolatesBetweenNpAndPreemptive) {
   // Blocking-limited mix: np rejects, preemptive accepts; the quantum
   // variant flips between them as the quantum crosses the slack.
   const std::vector<NpTask> mix = {{20, 100, 100}, {90, 1000, 1000}};
-  EXPECT_EQ(quantum_edf_schedulable(mix, 1),
-            preemptive_edf_schedulable(mix));
-  EXPECT_EQ(quantum_edf_schedulable(mix, 90), np_edf_schedulable(mix));
+  EXPECT_EQ(schedulable(quantum(1), mix), schedulable(preemptive(), mix));
+  EXPECT_EQ(schedulable(quantum(90), mix), schedulable(kNp, mix));
 }
 
-TEST(SchedPolicy, NamesRoundTrip) {
+TEST(Policy, NamesRoundTrip) {
   for (const PolicyKind kind :
        {PolicyKind::kNonPreemptiveEdf, PolicyKind::kPreemptiveEdf,
         PolicyKind::kQuantumEdf}) {
@@ -90,37 +101,36 @@ TEST(SchedPolicy, NamesRoundTrip) {
   EXPECT_FALSE(parse_policy_name("fifo", &parsed));
 }
 
-TEST(SchedPolicy, AdmissionTestsMatchTheFreeFunctions) {
+TEST(Policy, QpaDecisionsMatchTheExactScan) {
   const std::vector<NpTask> mix = {{20, 100, 100}, {90, 1000, 1000}};
   PolicyParams np;
-  EXPECT_FALSE(make_policy(np)->schedulable(mix));
+  EXPECT_FALSE(schedulable(np, mix));
   PolicyParams pre;
   pre.kind = PolicyKind::kPreemptiveEdf;
-  EXPECT_TRUE(make_policy(pre)->schedulable(mix));
+  EXPECT_TRUE(schedulable(pre, mix));
   PolicyParams q;
   q.kind = PolicyKind::kQuantumEdf;
   q.quantum = 80;
-  EXPECT_TRUE(make_policy(q)->schedulable(mix));
+  EXPECT_TRUE(schedulable(q, mix));
 }
 
-TEST(SchedPolicy, PreemptionPoints) {
+TEST(Policy, PreemptionPoints) {
   PolicyParams np;
-  EXPECT_EQ(make_policy(np)->preemption_point(0, 50), kNeverPreempts);
+  EXPECT_EQ(preemption_point(np, 0, 50), kNeverPreempts);
 
   PolicyParams pre;
   pre.kind = PolicyKind::kPreemptiveEdf;
-  EXPECT_EQ(make_policy(pre)->preemption_point(0, 50), 50);
+  EXPECT_EQ(preemption_point(pre, 0, 50), 50);
 
   PolicyParams q;
   q.kind = PolicyKind::kQuantumEdf;
   q.quantum = 40;
-  const auto policy = make_policy(q);
   // Mid-quantum arrivals wait for the next boundary from dispatch.
-  EXPECT_EQ(policy->preemption_point(100, 101), 140);
-  EXPECT_EQ(policy->preemption_point(100, 139), 140);
+  EXPECT_EQ(preemption_point(q, 100, 101), 140);
+  EXPECT_EQ(preemption_point(q, 100, 139), 140);
   // Exactly on a boundary: preempt now.
-  EXPECT_EQ(policy->preemption_point(100, 140), 140);
-  EXPECT_EQ(policy->preemption_point(100, 180), 180);
+  EXPECT_EQ(preemption_point(q, 100, 140), 140);
+  EXPECT_EQ(preemption_point(q, 100, 180), 180);
 }
 
 }  // namespace

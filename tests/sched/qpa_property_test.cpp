@@ -69,9 +69,9 @@ TEST(QpaProperty, MatchesExactThroughAllThreePolicies) {
       params.quantum = rng.uniform_i64(1, 20);
       params.context_switch_cost = rng.uniform_i64(0, 2);
       params.demand_algo = DemandAlgo::kExactScan;
-      const bool exact = make_policy(params)->schedulable(tasks);
+      const bool exact = schedulable(params, tasks);
       params.demand_algo = DemandAlgo::kQpa;
-      const bool qpa = make_policy(params)->schedulable(tasks);
+      const bool qpa = schedulable(params, tasks);
       ASSERT_EQ(exact, qpa)
           << "policy " << policy_name(kind) << " diverged (trial "
           << trial << ")";
