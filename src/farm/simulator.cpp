@@ -147,12 +147,16 @@ struct FrameJob {
   }
 };
 
-struct PendingArrival {
+/// A frame reaching a processor: a camera arrival, or a relay's
+/// handoff entry.
+struct Arrival {
   rt::Cycles time;
-  int stream;
+  int stream;  ///< index into the processor's stream list
+  int item;    ///< camera frame index, or a relay's handoff entry index
 
-  bool operator>(const PendingArrival& o) const {
-    return std::tie(time, stream) > std::tie(o.time, o.stream);
+  bool operator<(const Arrival& o) const {
+    return std::tie(time, stream, item) <
+           std::tie(o.time, o.stream, o.item);
   }
 };
 
@@ -166,15 +170,11 @@ struct StreamState : Assignment {
   const StreamSpec* spec = nullptr;
   const std::vector<BudgetEpoch>* epochs = nullptr;
   SegmentResult* res = nullptr;
-  int end_frame = 0;  ///< one past the last frame this segment serves
   /// C=D head piece: the committed zero-slack budget C1 (the head's
   /// EDF deadline is arrival + C1, not the display deadline).
   rt::Cycles split_head = 0;
   std::unique_ptr<pipe::StreamSession> session;
   std::optional<FaultPlan> plan;
-  rt::Cycles period = 0;
-  rt::Cycles latency = 0;
-  int next_arrival = 0;  ///< next camera frame index to arrive
   int queued = 0;        ///< frames waiting (excluding dispatched ones)
   std::size_t epoch_idx = 0;  ///< budget epoch of the last dispatch
   /// Overrun-policer state.
@@ -186,7 +186,6 @@ struct StreamState : Assignment {
   /// worst case the policer cuts at (budget + migration surcharge).
   rt::Cycles enforce_budget = 0;
   rt::Cycles enforce_cost = 0;
-  std::size_t next_handoff = 0;  ///< next handoff entry to release
 
   bool relay() const { return piece == Piece::kTail; }
 };
@@ -209,103 +208,258 @@ struct ActiveJob {
   rt::Cycles tail_demand = 0;
 };
 
-/// Simulates one processor's run queue to completion under the
+/// One processor's run queue, simulated to completion under the
 /// scenario's scheduling policy, with this processor's injected
-/// outages sorted by (start, end).  Writes the per-stream frame
-/// records back through `assigned` (segments of one stream serve
-/// disjoint frame ranges, so no locking) and reports every event once
-/// to `ev`, this processor's private observability sink.
-void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
-                   const FaultSpec& fault_spec,
-                   const std::vector<FailureEvent>& outages,
-                   const std::vector<Assignment>& assigned,
-                   ProcessorOutcome* out, EventSink& ev) {
-  const rt::Cycles ctx = sched.policy.context_switch_cost;
-  const bool police_overruns = fault_spec.overrun.enabled();
-  const bool inject_loss = fault_spec.loss.enabled();
-  const OverrunSpec& ospec = fault_spec.overrun;
+/// outages sorted by (start, end).  One member per event; run() plays
+/// them in virtual-time order.  Writes the per-stream frame records
+/// back through the assignments (segments of one stream serve disjoint
+/// frame ranges, so no locking) and reports every event once to `ev`,
+/// this processor's private observability sink.
+struct ProcessorLoop {
+  const FarmConfig& config;
+  const sched::PolicyParams& policy;
+  const FaultSpec& faults;
+  const std::vector<FailureEvent>& outages;
+  ProcessorOutcome& out;
+  EventSink& ev;
+  // Run state, brace-initialized like ControlPlane's.
+  std::vector<StreamState> streams{};
+  std::vector<Arrival> arrivals{};  ///< all of them, in (time, stream) order
+  std::size_t next_arrival = 0;
+  std::set<FrameJob> ready{};  ///< the run queue, EDF by display deadline
+  /// Jobs suspended mid-service, keyed by (stream, frame).
+  std::map<std::pair<int, int>, ActiveJob> suspended{};
+  std::optional<ActiveJob> running{};
+  rt::Cycles now = 0;
+  std::size_t next_outage = 0;
+  rt::Cycles blackout_until = -1;  ///< end of the current transient outage
+  bool halted = false;             ///< permanently failed
 
-  std::vector<StreamState> streams;
-  streams.reserve(assigned.size());
-  for (const Assignment& asg : assigned) {
+  /// At one instant: a repair, then failures (after completions — a
+  /// frame finishing exactly at the failure instant was delivered),
+  /// then arrivals, then a due preemption or else a dispatch, each
+  /// followed by a fresh pass; time advances only when none is due.
+  void run(const std::vector<Assignment>& assigned) {
+    streams.reserve(assigned.size());
+    for (const Assignment& asg : assigned) host(asg);
+    std::sort(arrivals.begin(), arrivals.end());
+    while (running || !ready.empty() || next_arrival < arrivals.size()) {
+      if (!halted && blackout_until >= 0 && now >= blackout_until) repair();
+      while (next_outage < outages.size() &&
+             now >= outages[next_outage].time) {
+        fail(outages[next_outage++]);
+      }
+      while (next_arrival < arrivals.size() &&
+             arrivals[next_arrival].time <= now) {
+        arrive(arrivals[next_arrival++]);
+      }
+      if (preemption_at() <= now) {
+        preempt();
+      } else if (!running && !ready.empty() && !halted &&
+                 blackout_until < 0) {
+        dispatch();
+      } else if (!advance()) {
+        break;  // unreachable: some event is always due
+      }
+    }
+    out.streams_hosted = static_cast<int>(streams.size());
+    out.utilization = out.span_cycles > 0
+                          ? static_cast<double>(out.busy_cycles) /
+                                static_cast<double>(out.span_cycles)
+                          : 0.0;
+  }
+
+  /// Adds an assigned stream segment and its arrivals: camera frame f
+  /// of the segment's range at join_time + f * P, or each handoff entry
+  /// of a relay, which its head piece wrote before this processor's
+  /// level ran.
+  void host(const Assignment& asg) {
     const StreamOutcome& so = *asg.run->so;
-    StreamState st;
+    const int s = static_cast<int>(streams.size());
+    StreamState& st = streams.emplace_back();
     static_cast<Assignment&>(st) = asg;
     st.spec = &so.spec;
     st.epochs = asg.segment == 0 ? &so.epochs
                                  : &so.failover[asg.segment - 1].epochs;
     st.res = &asg.run->segments[asg.segment];
-    st.next_arrival =
-        asg.segment == 0 ? 0 : so.failover[asg.segment - 1].first_frame;
-    st.end_frame = asg.segment < so.failover.size()
-                       ? so.failover[asg.segment].first_frame
-                       : so.spec.num_frames;
+    if (st.relay()) {
+      // Releases never decrease: a head completes its frames in order.
+      for (std::size_t k = 0; k < st.res->handoff.size(); ++k) {
+        arrivals.push_back(
+            {st.res->handoff[k].release, s, static_cast<int>(k)});
+      }
+      return;
+    }
     if (asg.piece == Piece::kHead) {
       st.split_head = segment_placement(so, asg.segment).head_cost;
     }
-    st.period = period_of(*st.spec);
-    st.latency = latency_of(*st.spec);
-    if (!st.relay()) {
-      const BudgetEpoch& initial = st.epochs->front();
-      st.session = std::make_unique<pipe::StreamSession>(
-          stream_pipeline_config(*st.spec, config.seed, config.frame_rate),
-          initial.table_budget, initial.system);
-      if (fault_spec.any()) st.session->track_delivery();
-      st.plan.emplace(fault_spec, config.seed, st.spec->id);
-      st.enforce_budget = initial.table_budget;
-      st.enforce_cost = initial.committed_cost;
+    const std::vector<FailoverSegment>& fo = so.failover;
+    const std::size_t seg = asg.segment;
+    const int end = seg < fo.size() ? fo[seg].first_frame : so.spec.num_frames;
+    for (int f = seg == 0 ? 0 : fo[seg - 1].first_frame; f < end; ++f) {
+      arrivals.push_back(
+          {so.spec.join_time + rt::Cycles{f} * period_of(so.spec), s, f});
     }
-    streams.push_back(std::move(st));
+    const BudgetEpoch& initial = st.epochs->front();
+    st.session = std::make_unique<pipe::StreamSession>(
+        stream_pipeline_config(so.spec, config.seed, config.frame_rate),
+        initial.table_budget, initial.system);
+    if (faults.any()) st.session->track_delivery();
+    st.plan.emplace(faults, config.seed, so.spec.id);
+    st.enforce_budget = initial.table_budget;
+    st.enforce_cost = initial.committed_cost;
   }
 
-  // Arrival events, earliest (then lowest stream) first.  Frame f of a
-  // segment arrives at join_time + f * P.
-  std::priority_queue<PendingArrival, std::vector<PendingArrival>,
-                      std::greater<PendingArrival>>
-      arrivals;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    const StreamState& st = streams[s];
-    if (st.relay()) {
-      // A tail relay's "arrivals" are the handoff entries its head
-      // piece wrote — complete before this processor's level ran.
-      if (!st.res->handoff.empty()) {
-        arrivals.push(PendingArrival{st.res->handoff.front().release,
-                                     static_cast<int>(s)});
-      }
-    } else if (st.next_arrival < st.end_frame) {
-      arrivals.push(PendingArrival{
-          st.spec->join_time +
-              static_cast<rt::Cycles>(st.next_arrival) * st.period,
-          static_cast<int>(s)});
-    }
-  }
-
-  std::set<FrameJob> ready;  ///< the run queue, EDF by display deadline
-  /// Jobs suspended mid-service, keyed by (stream, frame).
-  std::map<std::pair<int, int>, ActiveJob> suspended;
-  std::optional<ActiveJob> running;
-  rt::Cycles now = 0;
-  rt::Cycles span = 0;  ///< last completion time
-  std::size_t next_outage = 0;
-  rt::Cycles blackout_until = -1;  ///< end of the current transient outage
-  bool halted = false;             ///< permanently failed
+  StreamState& stream(int s) { return streams[static_cast<std::size_t>(s)]; }
 
   /// Whether an event at instant `t` falls inside any injected outage.
   /// Tested against the outage intervals (not simulation state): the
   /// answer is a pure function of (fault spec, t), independent of how
   /// the event loop interleaves transitions at equal instants.
-  auto in_blackout = [&](rt::Cycles t) {
+  bool in_blackout(rt::Cycles t) const {
     for (const FailureEvent& o : outages) {
       if (t >= o.time && t < outage_end(o)) return true;
     }
     return false;
-  };
+  }
+
+  /// Ends the transient outage due now.  Encoder state was lost, so
+  /// every session re-syncs with a forced intra frame.
+  void repair() {
+    blackout_until = -1;
+    for (StreamState& st : streams) {
+      if (st.session != nullptr) st.session->reset_reference();
+    }
+    ev.processor_repair(now);
+  }
+
+  /// Outage `o` starts: everything in flight or queued is lost to it.
+  void fail(const FailureEvent& o) {
+    ev.processor_fail(now, o.permanent(), outage_end(o));
+    if (running) {
+      conceal_in_service(*running, true);
+      running.reset();
+    }
+    for (const auto& [key, a] : suspended) {
+      conceal_in_service(a, false);
+      ready.erase(a.job);
+    }
+    suspended.clear();
+    purge(obs::ConcealReason::kQueuedOutage);
+    if (o.permanent()) {
+      halted = true;
+    } else {
+      blackout_until = std::max(blackout_until, outage_end(o));
+    }
+  }
+
+  /// A frame reaches the processor: it joins the run queue unless it is
+  /// lost to an outage, dropped by a quarantine, or skipped by a full
+  /// input buffer.  A relay's handoff entry needs no camera-buffer or
+  /// quarantine logic — the head already applied both.
+  void arrive(const Arrival& a) {
+    StreamState& st = stream(a.stream);
+    if (st.relay()) {
+      const HandoffEntry& e =
+          st.res->handoff[static_cast<std::size_t>(a.item)];
+      if (in_blackout(a.time)) {
+        // The head's delivered record stands, but the viewer never
+        // sees the frame: mark it concealed in place (the encoder
+        // reference lives with the head, which has already moved
+        // on — a documented approximation of a mid-chain loss).
+        conceal(st, e.frame, obs::ConcealReason::kArrivalOutage);
+        return;
+      }
+      ++st.queued;
+      ready.insert(FrameJob{e.deadline, a.stream, e.frame, e.arrival});
+      ev.enqueue(now, ready.size());
+      return;
+    }
+    const int f = a.item;
+    if (in_blackout(a.time)) {
+      // The processor is down: nobody services this frame.
+      conceal(st, f, obs::ConcealReason::kArrivalOutage);
+      return;
+    }
+    if (st.quarantined_until >= 0) {
+      if (a.time < st.quarantined_until) {
+        conceal(st, f, obs::ConcealReason::kQuarantineDrop);
+        return;
+      }
+      // Quarantine over: re-admit at the qmin rung.
+      st.quarantined_until = -1;
+      if (st.pending_qmin && !st.run->ladder.empty()) {
+        st.force_rung = static_cast<int>(st.run->ladder.size()) - 1;
+      }
+      st.pending_qmin = false;
+    }
+    if (st.queued >= st.spec->buffer_capacity) {
+      // Input buffer full: the camera drops the frame.
+      st.run->records[f] = st.session->skip(f);
+      ev.camera_skip();
+      return;
+    }
+    // A C=D head piece runs under its zero-slack head deadline
+    // arrival + C1 (what the admission test certified), not the
+    // display deadline — the tail's slack lives downstream.
+    const rt::Cycles edf_deadline = st.split_head > 0
+                                        ? a.time + st.split_head
+                                        : a.time + latency_of(*st.spec);
+    ++st.queued;
+    ready.insert(FrameJob{edf_deadline, a.stream, f, a.time});
+    ev.enqueue(now, ready.size());
+  }
+
+  /// Conceals the queued frames of `only` (of every stream when null)
+  /// for `reason` and takes them off the run queue.
+  void purge(obs::ConcealReason reason, const StreamState* only = nullptr) {
+    for (auto it = ready.begin(); it != ready.end();) {
+      StreamState& st = stream(it->stream);
+      if (only != nullptr && &st != only) {
+        ++it;
+        continue;
+      }
+      conceal(st, it->frame, reason);
+      --st.queued;
+      it = ready.erase(it);
+    }
+    ev.queue_depth(now, ready.size());
+  }
+
+  /// The earliest instant the policy lets the top ready job displace
+  /// the runner; kNever when it would not preempt at all.  Only a
+  /// strictly earlier display deadline preempts — EDF gains nothing
+  /// from switching between equal-deadline jobs, so the run queue's
+  /// (stream, frame) tie-break must not trigger paid context switches.
+  rt::Cycles preemption_at() const {
+    if (!running || ready.empty() ||
+        ready.begin()->deadline >= running->job.deadline) {
+      return kNever;
+    }
+    const rt::Cycles pp =
+        sched::preemption_point(policy, running->dispatched_at, now);
+    return pp >= sched::kNeverPreempts ? kNever : std::max(now, pp);
+  }
+
+  /// Suspends the runner (switch-out charge); the displacing job is
+  /// dispatched on the next pass.
+  void preempt() {
+    const ActiveJob a = *running;
+    running.reset();
+    suspended.emplace(std::make_pair(a.job.stream, a.job.frame), a);
+    ready.insert(a.job);
+    ++out.preemptions;
+    ev.preempt(now, stream(a.job.stream).spec->id, a.job.frame, a.remaining,
+               ready.size());
+    out.overhead_cycles += policy.context_switch_cost;
+    now += policy.context_switch_cost;
+  }
 
   /// Selects the tables frame `arrival` is paced over: its budget
   /// epoch (renegotiations), capped by any policer-forced ladder rung.
   /// Also refreshes the policer's cut threshold — the committed worst
   /// case enforce_budget + migration surcharge.
-  auto resolve_system = [&](StreamState& st, rt::Cycles arrival) {
+  void resolve_system(StreamState& st, rt::Cycles arrival) {
     while (st.epoch_idx + 1 < st.epochs->size() &&
            (*st.epochs)[st.epoch_idx + 1].from_time <= arrival) {
       ev.epoch_switch(now, st.spec->id,
@@ -329,55 +483,24 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     }
     st.enforce_budget = budget;
     st.enforce_cost = budget + (ep.committed_cost - ep.table_budget);
-  };
+  }
 
-  /// Cycles of service charged to this processor.
-  auto charge = [&](rt::Cycles cycles) {
-    out->busy_cycles += cycles;
-    ev.busy(now, cycles);
-  };
-
-  /// Conceals frame `f` of `st` — the viewer keeps the previous
-  /// picture — and tallies it: a quarantine drop against the stream,
-  /// any other reason as a fault conceal of this processor too.  A
-  /// relay has no session and marks the head's final record in place;
-  /// a session stream drops the frame unless it was caught in service,
-  /// whose record the caller already ran through lose().
-  auto conceal = [&](StreamState& st, int f, obs::ConcealReason reason,
-                     rt::Cycles cycles = 0, bool in_service = false) {
-    pipe::FrameRecord& rec = st.run->records[f];
-    if (st.relay()) {
-      rec.lost = true;
-      rec.concealed = true;
-    } else if (reason != obs::ConcealReason::kSuspendedOutage) {
-      rec = st.session->drop(f);
-    }
-    if (reason == obs::ConcealReason::kQuarantineDrop) {
-      ++st.res->faults.quarantine_drops;
-    } else {
-      ++st.res->faults.failure_drops;
-      ++out->fault_conceals;
-    }
-    ev.conceal(now, st.spec->mode, st.spec->id, f, reason, cycles,
-               in_service);
-  };
-
-  auto dispatch = [&] {
+  /// Starts (or resumes) the job at the head of the run queue.
+  void dispatch() {
     const FrameJob job = *ready.begin();
     ready.erase(ready.begin());
-    StreamState& st = streams[static_cast<std::size_t>(job.stream)];
+    StreamState& st = stream(job.stream);
     const int sid = st.spec->id;
     ev.queue_depth(now, ready.size());
     ActiveJob a;
-    const auto key = std::make_pair(job.stream, job.frame);
-    auto it = suspended.find(key);
+    auto it = suspended.find(std::make_pair(job.stream, job.frame));
     if (it != suspended.end()) {
       // Resuming a preempted frame: the switch-in half of its
       // preemption charge.
       a = it->second;
       suspended.erase(it);
-      out->overhead_cycles += ctx;
-      now += ctx;
+      out.overhead_cycles += policy.context_switch_cost;
+      now += policy.context_switch_cost;
       ev.resume(now, sid, job.frame, a.remaining);
     } else if (st.relay()) {
       // Tail relay: the record is final; just serve the remaining
@@ -403,7 +526,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       a.rec.start_lag = now - job.arrival;
       a.faults = st.plan->at(job.frame);
       rt::Cycles demand = a.rec.encode_cycles;
-      if (police_overruns && a.faults.overrun) {
+      if (faults.overrun.enabled() && a.faults.overrun) {
         // Injected WCET overrun: the frame demands `factor` times its
         // honest cost.  The policer cuts it off at the stream's
         // committed worst case — co-resident streams never pay.
@@ -411,7 +534,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
         ++st.res->faults.overruns_injected;
         demand = std::max(
             demand, static_cast<rt::Cycles>(std::llround(
-                        static_cast<double>(demand) * ospec.factor)));
+                        static_cast<double>(demand) * faults.overrun.factor)));
         if (demand > st.enforce_cost) {
           ++st.res->faults.overruns_policed;
           a.aborted = true;
@@ -434,10 +557,64 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
     }
     a.dispatched_at = now;
     running = a;
-  };
+  }
+
+  /// Cycles of service charged to this processor.
+  void charge(rt::Cycles cycles) {
+    out.busy_cycles += cycles;
+    ev.busy(now, cycles);
+  }
+
+  /// Conceals frame `f` of `st` — the viewer keeps the previous
+  /// picture — and tallies it: a quarantine drop against the stream,
+  /// any other reason as a fault conceal of this processor too.  A
+  /// relay has no session and marks the head's final record in place;
+  /// a session stream drops the frame unless it was caught in service,
+  /// whose record the caller already ran through lose().
+  void conceal(StreamState& st, int f, obs::ConcealReason reason,
+               rt::Cycles cycles = 0, bool in_service = false) {
+    pipe::FrameRecord& rec = st.run->records[f];
+    if (st.relay()) {
+      rec.lost = true;
+      rec.concealed = true;
+    } else if (reason != obs::ConcealReason::kSuspendedOutage) {
+      rec = st.session->drop(f);
+    }
+    if (reason == obs::ConcealReason::kQuarantineDrop) {
+      ++st.res->faults.quarantine_drops;
+    } else {
+      ++st.res->faults.failure_drops;
+      ++out.fault_conceals;
+    }
+    ev.conceal(now, st.spec->mode, st.spec->id, f, reason, cycles,
+               in_service);
+  }
+
+  /// Conceals a frame caught in service (running or suspended) by a
+  /// processor outage: the cycles already burned are charged, the
+  /// frame is lost, the viewer keeps the previous picture.  The trace
+  /// distinguishes the running frame (whose open service segment this
+  /// terminates) from suspended ones (already closed by their
+  /// preemption event).
+  void conceal_in_service(const ActiveJob& a, bool was_running) {
+    StreamState& st = stream(a.job.stream);
+    rt::Cycles consumed = a.tail_demand - a.remaining;
+    if (!st.relay()) {
+      // Cycles actually consumed on this processor (a split head never
+      // held its tail share).
+      pipe::FrameRecord rec = a.rec;
+      rec.encode_cycles -= a.remaining + a.tail_demand;
+      consumed = rec.encode_cycles;
+      st.run->records[a.job.frame] = st.session->lose(rec);
+    }
+    conceal(st, a.job.frame, obs::ConcealReason::kSuspendedOutage, consumed,
+            was_running);
+    charge(consumed);
+  }
 
   /// Policer side effects of a frame it just aborted.
-  auto punish_overrun = [&](StreamState& st) {
+  void punish_overrun(StreamState& st) {
+    const OverrunSpec& ospec = faults.overrun;
     switch (ospec.policy) {
       case OverrunPolicy::kAbortConceal:
         break;
@@ -459,26 +636,16 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
         st.strikes = 0;
         st.quarantined_until =
             now + static_cast<rt::Cycles>(ospec.quarantine_periods) *
-                      st.period;
+                      period_of(*st.spec);
         st.pending_qmin = true;
         ++st.res->faults.quarantines;
         ev.quarantine(now, st.spec->id, st.quarantined_until);
         // Already-queued frames of the offender are dropped too.
-        for (auto it = ready.begin(); it != ready.end();) {
-          if (it->stream >= 0 &&
-              &streams[static_cast<std::size_t>(it->stream)] == &st) {
-            conceal(st, it->frame, obs::ConcealReason::kQuarantineDrop);
-            --st.queued;
-            it = ready.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        ev.queue_depth(now, ready.size());
+        purge(obs::ConcealReason::kQuarantineDrop, &st);
         break;
       }
     }
-  };
+  }
 
   /// Finishes the running frame's service on this processor.  A tail
   /// relay's record is final (the head decoded it); a session frame is
@@ -486,9 +653,9 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
   /// dropped it.  A delivered C=D head frame crosses to its tail piece,
   /// which decides the display verdict: the head records phases and
   /// its own share of busy time, not latency or a completion.
-  auto complete = [&] {
+  void complete() {
     const ActiveJob& a = *running;
-    StreamState& st = streams[static_cast<std::size_t>(a.job.stream)];
+    StreamState& st = stream(a.job.stream);
     const int f = a.job.frame;
     pipe::FrameRecord rec = a.rec;
     if (!st.relay()) {
@@ -496,7 +663,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
         rec = st.session->lose(rec);
         ++st.res->faults.aborted_frames;
         punish_overrun(st);
-      } else if (inject_loss && a.faults.lost) {
+      } else if (faults.loss.enabled() && a.faults.lost) {
         rec.lost = true;
         rec = st.session->lose(rec);
         ++st.res->faults.lost_frames;
@@ -511,7 +678,7 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       charge(rec.encode_cycles - a.tail_demand);
       st.res->handoff.push_back(HandoffEntry{
           f, a.job.arrival, std::max(a.job.arrival + st.split_head, now),
-          a.job.arrival + st.latency, a.tail_demand, rec});
+          a.job.arrival + latency_of(*st.spec), a.tail_demand, rec});
     } else {
       if (!rec.concealed) {
         if (now > a.job.deadline) {
@@ -532,182 +699,21 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
       // A relay serves the handed-off share; a concealed split-head
       // frame's tail share was never served anywhere.
       charge(st.relay() ? a.tail_demand : rec.encode_cycles - a.tail_demand);
-      ++out->frames_encoded;
+      ++out.frames_encoded;
     }
-    span = now;
+    out.span_cycles = now;
     running.reset();
-  };
+  }
 
-  /// Conceals a frame caught in service (running or suspended) by a
-  /// processor outage: the cycles already burned are charged, the
-  /// frame is lost, the viewer keeps the previous picture.  The trace
-  /// distinguishes the running frame (whose open service segment this
-  /// terminates) from suspended ones (already closed by their
-  /// preemption event).
-  auto conceal_in_service = [&](const ActiveJob& a, bool was_running) {
-    StreamState& st = streams[static_cast<std::size_t>(a.job.stream)];
-    rt::Cycles consumed = a.tail_demand - a.remaining;
-    if (!st.relay()) {
-      // Cycles actually consumed on this processor (a split head never
-      // held its tail share).
-      pipe::FrameRecord rec = a.rec;
-      rec.encode_cycles -= a.remaining + a.tail_demand;
-      consumed = rec.encode_cycles;
-      st.run->records[a.job.frame] = st.session->lose(rec);
-    }
-    conceal(st, a.job.frame, obs::ConcealReason::kSuspendedOutage, consumed,
-            was_running);
-    charge(consumed);
-  };
-
-  // The earliest instant the policy lets the top ready job displace
-  // the runner; kNever when it would not preempt at all.  Only a
-  // strictly earlier display deadline preempts — EDF gains nothing
-  // from switching between equal-deadline jobs, so the run queue's
-  // (stream, frame) tie-break must not trigger paid context switches.
-  auto preemption_at = [&]() -> rt::Cycles {
-    if (!running || ready.empty() ||
-        ready.begin()->deadline >= running->job.deadline) {
-      return kNever;
-    }
-    const rt::Cycles pp =
-        sched::preemption_point(sched.policy, running->dispatched_at, now);
-    return pp >= sched::kNeverPreempts ? kNever : std::max(now, pp);
-  };
-
-  while (running || !ready.empty() || !arrivals.empty()) {
-    // Blackout transitions due now (after completions — a frame
-    // finishing exactly at the failure instant was delivered).  Repair
-    // first: encoder state was lost, so every session re-syncs with a
-    // forced intra frame.
-    if (!halted && blackout_until >= 0 && now >= blackout_until) {
-      blackout_until = -1;
-      for (StreamState& st : streams) {
-        if (st.session != nullptr) st.session->reset_reference();
-      }
-      ev.processor_repair(now);
-    }
-    while (next_outage < outages.size() &&
-           now >= outages[next_outage].time) {
-      const FailureEvent& o = outages[next_outage++];
-      ev.processor_fail(now, o.permanent(), outage_end(o));
-      // Everything in flight or queued is lost to the outage.
-      if (running) {
-        conceal_in_service(*running, true);
-        running.reset();
-      }
-      for (const auto& [key, a] : suspended) {
-        conceal_in_service(a, false);
-        ready.erase(a.job);
-      }
-      suspended.clear();
-      for (const FrameJob& job : ready) {
-        StreamState& st = streams[static_cast<std::size_t>(job.stream)];
-        conceal(st, job.frame, obs::ConcealReason::kQueuedOutage);
-        --st.queued;
-      }
-      ready.clear();
-      ev.queue_depth(now, 0);
-      if (o.permanent()) {
-        halted = true;
-      } else {
-        blackout_until = std::max(blackout_until, outage_end(o));
-      }
-    }
-
-    // Camera frames due by now enter the input buffers (or are
-    // dropped when full, quarantined, or lost to an outage).
-    while (!arrivals.empty() && arrivals.top().time <= now) {
-      const PendingArrival a = arrivals.top();
-      arrivals.pop();
-      StreamState& st = streams[static_cast<std::size_t>(a.stream)];
-      if (st.relay()) {
-        // A handed-off tail job becomes ready.  No camera-buffer or
-        // quarantine logic — the head already applied both; only an
-        // outage on *this* processor can still lose the frame.
-        const std::vector<HandoffEntry>& handoff = st.res->handoff;
-        const HandoffEntry& e = handoff[st.next_handoff++];
-        if (st.next_handoff < handoff.size()) {
-          arrivals.push(
-              PendingArrival{handoff[st.next_handoff].release, a.stream});
-        }
-        if (in_blackout(a.time)) {
-          // The head's delivered record stands, but the viewer never
-          // sees the frame: mark it concealed in place (the encoder
-          // reference lives with the head, which has already moved
-          // on — a documented approximation of a mid-chain loss).
-          conceal(st, e.frame, obs::ConcealReason::kArrivalOutage);
-          continue;
-        }
-        ++st.queued;
-        ready.insert(FrameJob{e.deadline, a.stream, e.frame, e.arrival});
-        ev.enqueue(now, ready.size());
-        continue;
-      }
-      const int f = st.next_arrival++;
-      if (st.next_arrival < st.end_frame) {
-        arrivals.push(PendingArrival{a.time + st.period, a.stream});
-      }
-      if (in_blackout(a.time)) {
-        // The processor is down: nobody services this frame.
-        conceal(st, f, obs::ConcealReason::kArrivalOutage);
-        continue;
-      }
-      if (st.quarantined_until >= 0) {
-        if (a.time < st.quarantined_until) {
-          conceal(st, f, obs::ConcealReason::kQuarantineDrop);
-          continue;
-        }
-        // Quarantine over: re-admit at the qmin rung.
-        st.quarantined_until = -1;
-        if (st.pending_qmin && !st.run->ladder.empty()) {
-          st.force_rung = static_cast<int>(st.run->ladder.size()) - 1;
-        }
-        st.pending_qmin = false;
-      }
-      if (st.queued >= st.spec->buffer_capacity) {
-        // Input buffer full: the camera drops the frame.
-        st.run->records[f] = st.session->skip(f);
-        ev.camera_skip();
-      } else {
-        ++st.queued;
-        // A C=D head piece runs under its zero-slack head deadline
-        // arrival + C1 (what the admission test certified), not the
-        // display deadline — the tail's slack lives downstream.
-        const rt::Cycles edf_deadline =
-            st.split_head > 0 ? a.time + st.split_head
-                              : a.time + st.latency;
-        ready.insert(FrameJob{edf_deadline, a.stream, f, a.time});
-        ev.enqueue(now, ready.size());
-      }
-    }
-
-    const bool in_outage = halted || blackout_until >= 0;
-
-    // Preemption due now: suspend the runner (switch-out charge); the
-    // displacing job is dispatched on the next pass.
-    if (preemption_at() <= now) {
-      ActiveJob a = *running;
-      running.reset();
-      suspended.emplace(std::make_pair(a.job.stream, a.job.frame), a);
-      ready.insert(a.job);
-      ++out->preemptions;
-      ev.preempt(now, streams[static_cast<std::size_t>(a.job.stream)].spec->id,
-                 a.job.frame, a.remaining, ready.size());
-      out->overhead_cycles += ctx;
-      now += ctx;
-      continue;
-    }
-
-    if (!running && !ready.empty() && !in_outage) {
-      dispatch();
-      continue;
-    }
-
-    // Advance to the next event: completion, arrival, an armed
-    // quantum-boundary preemption, or a blackout boundary.
+  /// Advances to the next event — a completion, an arrival, an armed
+  /// quantum-boundary preemption, or an outage boundary — and completes
+  /// the runner if its service is done then.  False when no event is
+  /// left.
+  bool advance() {
     const rt::Cycles t_fin = running ? now + running->remaining : kNever;
-    const rt::Cycles t_arr = arrivals.empty() ? kNever : arrivals.top().time;
+    const rt::Cycles t_arr = next_arrival < arrivals.size()
+                                 ? arrivals[next_arrival].time
+                                 : kNever;
     const rt::Cycles t_black = next_outage < outages.size()
                                    ? outages[next_outage].time
                                    : kNever;
@@ -715,22 +721,14 @@ void run_processor(const FarmConfig& config, const SchedulingSpec& sched,
         (!halted && blackout_until >= 0) ? blackout_until : kNever;
     rt::Cycles t =
         std::min({t_fin, t_arr, preemption_at(), t_black, t_repair});
-    if (t == kNever) break;  // unreachable: some event is always due
-    t = std::max(t, now);    // an outage may start in the past
+    if (t == kNever) return false;
+    t = std::max(t, now);  // an outage may start in the past
     if (running) running->remaining -= t - now;
     now = t;
     if (running && running->remaining == 0) complete();
+    return true;
   }
-
-  out->span_cycles = span;
-  out->streams_hosted = static_cast<int>(streams.size());
-  out->utilization =
-      out->span_cycles > 0
-          ? static_cast<double>(out->busy_cycles) /
-                static_cast<double>(out->span_cycles)
-          : 0.0;
-}
-
+};
 
 /// The control plane: plays joins, leaves, permanent failures and the
 /// rebalancer in virtual-time order against the sharded admission
@@ -1079,9 +1077,10 @@ std::vector<StreamRun> run_data_plane(const FarmScenario& scenario,
   for (const std::vector<int>& procs : by_level) {
     util::parallel_for(procs.size(), workers, [&](std::size_t s) {
       const auto p = static_cast<std::size_t>(procs[s]);
-      run_processor(config, scenario.sched, scenario.faults, outages[p],
-                    per_processor[p], &result.processors[p],
-                    sinks.processor(procs[s]));
+      ProcessorLoop{config, scenario.sched.policy, scenario.faults,
+                    outages[p], result.processors[p],
+                    sinks.processor(procs[s])}
+          .run(per_processor[p]);
     });
   }
   return runs;
