@@ -1203,6 +1203,8 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
               "failure event targets a processor outside the farm");
     QC_EXPECT(ev.time >= 0 && ev.repair >= 0,
               "failure event times must be non-negative");
+    QC_EXPECT(ev.repair <= kNever - ev.time,
+              "failure event repair time must be a cycle count");
   }
   TableCache tables(platform::figure5_cost_table());
   ShardedControlPlane plane(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "sched/qpa.h"
 #include "util/check.h"
@@ -40,11 +41,14 @@ std::vector<NpTask> inflate_context_switch(const std::vector<NpTask>& tasks,
   for (const NpTask& t : tasks) {
     max_deadline = std::max(max_deadline, t.deadline);
   }
+  constexpr rt::Cycles kMax = std::numeric_limits<rt::Cycles>::max();
   std::vector<NpTask> inflated = tasks;
   for (NpTask& t : inflated) {
     // Only a strictly-earlier-relative-deadline job can cause a
     // preemption (switch-out + switch-in of the job it displaces).
-    if (t.deadline < max_deadline) t.cost += 2 * context_switch;
+    if (t.deadline == max_deadline) continue;
+    t.cost = context_switch > (kMax - t.cost) / 2 ? kMax
+                                                  : t.cost + 2 * context_switch;
   }
   return inflated;
 }
@@ -72,10 +76,12 @@ rt::Cycles preemption_point(const PolicyParams& policy,
     case PolicyKind::kQuantumEdf:
       break;
   }
-  // The next multiple of the quantum from dispatch, at or after now.
-  const rt::Cycles served = now - dispatched_at;
+  // The next multiple of the quantum from dispatch at or after now,
+  // computed without passing the cycle range.
   const rt::Cycles q = policy.quantum;
-  return dispatched_at + (served + q - 1) / q * q;
+  const rt::Cycles boundary = dispatched_at + (now - dispatched_at) / q * q;
+  if (boundary == now) return now;
+  return boundary > kNeverPreempts - q ? kNeverPreempts : boundary + q;
 }
 
 }  // namespace qosctrl::sched

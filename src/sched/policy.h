@@ -88,8 +88,9 @@ inline constexpr rt::Cycles kNeverPreempts = rt::kNoDeadline;
 
 /// The overhead charge of the file comment: tasks whose relative
 /// deadline is strictly below the set's maximum gain 2 * context_switch
-/// cycles of cost.  Identity when context_switch == 0 or fewer than two
-/// distinct deadlines exist.
+/// cycles of cost, saturating at the largest rt::Cycles (a task that
+/// cannot fit is then unschedulable, never negative).  Identity when
+/// context_switch == 0 or fewer than two distinct deadlines exist.
 std::vector<NpTask> inflate_context_switch(const std::vector<NpTask>& tasks,
                                            rt::Cycles context_switch);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace qosctrl::sched {
 namespace {
 
@@ -18,6 +20,8 @@ PolicyParams preemptive(rt::Cycles context_switch = 0) {
 PolicyParams quantum(rt::Cycles q, rt::Cycles context_switch = 0) {
   return {PolicyKind::kQuantumEdf, context_switch, q, DemandAlgo::kExactScan};
 }
+
+constexpr rt::Cycles kMaxCycles = std::numeric_limits<rt::Cycles>::max();
 
 TEST(PreemptiveEdf, EmptySetIsSchedulable) {
   EXPECT_TRUE(schedulable(preemptive(), {}));
@@ -89,6 +93,31 @@ TEST(PreemptiveEdf, QuantumInterpolatesBetweenNpAndPreemptive) {
   EXPECT_EQ(schedulable(quantum(90), mix), schedulable(kNp, mix));
 }
 
+TEST(PreemptiveEdf, HugeContextSwitchSaturatesInsteadOfWrapping) {
+  // 2 * context_switch does not fit in a cycle count: the charge
+  // saturates, so the preemption-capable task can no longer fit its
+  // deadline and the set is rejected — never a negative cost (which
+  // stopped the demand test in an assertion) or a wrapped small one.
+  const std::vector<NpTask> mix = {{20, 100, 100}, {90, 1000, 1000}};
+  for (const rt::Cycles ctx :
+       {rt::Cycles{1} << 62, kMaxCycles / 2 + 1, kMaxCycles}) {
+    const std::vector<NpTask> inflated = inflate_context_switch(mix, ctx);
+    EXPECT_EQ(inflated[0].cost, kMaxCycles) << ctx;
+    EXPECT_EQ(inflated[1].cost, 90) << ctx;
+    EXPECT_FALSE(schedulable(preemptive(ctx), mix)) << ctx;
+    EXPECT_FALSE(schedulable(quantum(50, ctx), mix)) << ctx;
+    PolicyParams qpa = preemptive(ctx);
+    qpa.demand_algo = DemandAlgo::kQpa;
+    EXPECT_FALSE(schedulable(qpa, mix)) << ctx;
+  }
+  // The largest charge that still fits is added exactly.
+  const rt::Cycles fits = (kMaxCycles - 20) / 2;
+  EXPECT_EQ(inflate_context_switch(mix, fits)[0].cost, 20 + 2 * fits);
+  // Equal-deadline sets still pay nothing, however large the cost.
+  const std::vector<NpTask> equal(3, NpTask{9, 100, 100});
+  EXPECT_TRUE(schedulable(preemptive(kMaxCycles), equal));
+}
+
 TEST(Policy, NamesRoundTrip) {
   for (const PolicyKind kind :
        {PolicyKind::kNonPreemptiveEdf, PolicyKind::kPreemptiveEdf,
@@ -131,6 +160,28 @@ TEST(Policy, PreemptionPoints) {
   // Exactly on a boundary: preempt now.
   EXPECT_EQ(preemption_point(q, 100, 140), 140);
   EXPECT_EQ(preemption_point(q, 100, 180), 180);
+}
+
+TEST(Policy, QuantumBoundaryBeyondTheCycleRangeNeverPreempts) {
+  // served + quantum - 1 used to wrap for quanta near the cycle
+  // type's maximum, putting the boundary in the past: preemptions
+  // fired at once instead of never.
+  PolicyParams q;
+  q.kind = PolicyKind::kQuantumEdf;
+  for (const rt::Cycles quantum :
+       {kMaxCycles, kMaxCycles - 1, rt::Cycles{1} << 62, kNeverPreempts}) {
+    q.quantum = quantum;
+    EXPECT_EQ(preemption_point(q, 0, 1), kNeverPreempts) << quantum;
+    EXPECT_EQ(preemption_point(q, 1000, 123456), kNeverPreempts) << quantum;
+    // At the dispatch instant itself the boundary is now.
+    EXPECT_EQ(preemption_point(q, 1000, 1000), 1000) << quantum;
+  }
+  // A boundary just inside the range is still returned exactly.
+  q.quantum = 1000;
+  EXPECT_EQ(preemption_point(q, kNeverPreempts - 2000, kNeverPreempts - 1500),
+            kNeverPreempts - 1000);
+  EXPECT_EQ(preemption_point(q, kNeverPreempts - 1000, kNeverPreempts - 500),
+            kNeverPreempts);
 }
 
 }  // namespace

@@ -360,7 +360,8 @@ TEST(ParseMutationTest, FailureSpecsParseInRangeAndRoundTrip) {
   };
   const auto accepted = check_cli_values<farm::FailureEvent>(
       {"1@20000000+15000000", "0@0", "3@9223372036854775807",
-       "2147483647@1+9223372036854775807"},
+       "2147483647@1+9223372036854775807",
+       "2147483647@1+9223372036854775806"},
       200, cli::parse_failure, format,
       [&](const std::string& text, const farm::FailureEvent& ev) {
         const std::size_t at = text.find('@');
@@ -371,7 +372,7 @@ TEST(ParseMutationTest, FailureSpecsParseInRangeAndRoundTrip) {
           t += '+' + spelled(text.substr(plus + 1));
         }
         return ev.processor >= 0 && ev.time >= 0 && ev.repair >= 0 &&
-               t == format(ev);
+               ev.repair <= INT64_MAX - ev.time && t == format(ev);
       });
   EXPECT_GT(accepted, 1000);
 }

@@ -126,7 +126,8 @@ inline bool parse_frame_range(const char* s, int* lo, int* hi) {
 }
 
 /// "P@T" (permanent) or "P@T+R" (transient, repairs after R > 0
-/// cycles).  The processor is range-checked once --procs is known.
+/// cycles, at T + R, which must be a cycle count too).  The processor
+/// is range-checked once --procs is known.
 inline bool parse_failure(const char* s, farm::FailureEvent* ev) {
   const char* at = std::strchr(s, '@');
   if (!at || at == s) return false;
@@ -136,7 +137,8 @@ inline bool parse_failure(const char* s, farm::FailureEvent* ev) {
   ev->repair = 0;
   if (const char* plus = std::strchr(at + 1, '+')) {
     return parse_integer(std::string(at + 1, plus).c_str(), &ev->time, 0) &&
-           parse_integer(plus + 1, &ev->repair, 1);
+           parse_integer(plus + 1, &ev->repair, 1) &&
+           ev->repair <= std::numeric_limits<rt::Cycles>::max() - ev->time;
   }
   return parse_integer(at + 1, &ev->time, 0);
 }
