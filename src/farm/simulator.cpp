@@ -1201,10 +1201,8 @@ FarmResult run_farm(const FarmScenario& scenario, const FarmConfig& config) {
   for (const FailureEvent& ev : scenario.faults.failures) {
     QC_EXPECT(ev.processor >= 0 && ev.processor < config.num_processors,
               "failure event targets a processor outside the farm");
-    QC_EXPECT(ev.time >= 0 && ev.repair >= 0,
-              "failure event times must be non-negative");
-    QC_EXPECT(ev.repair <= kNever - ev.time,
-              "failure event repair time must be a cycle count");
+    QC_EXPECT(ev.time >= 0 && ev.repair >= 0 && ev.repair <= kNever - ev.time,
+              "failure event must start and end at cycle counts >= 0");
   }
   TableCache tables(platform::figure5_cost_table());
   ShardedControlPlane plane(
