@@ -45,8 +45,9 @@ import sys
 # fast path at 1k/10k/100k resident streams plus the exact-scan
 # baseline it must stay >= 10x ahead of — see docs/admission.md).
 # ShardedJoinRate tracks the flash-crowd join storm on a 1024-processor
-# fleet at 1 and 64 shards; docs/scenarios.md reports the
-# sharded-vs-single join-rate ratio of these two rows.
+# fleet at 1 and 64 shards, each row against its own baseline;
+# docs/scenarios.md reports both rows and their ratio, which is a
+# measurement, not a bar.
 # RenegotiationStorm tracks one controller's verdict rate on a
 # join-storm slice, where nearly every join is a renegotiation probe.
 # SyntheticFrame(Yuv) and EntropyEncodeBlock track the source renderer
