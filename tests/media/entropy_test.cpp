@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -71,6 +73,22 @@ TEST(EncodeBlock, EmptyBlockCostsOneBit) {
   Coeffs8 zero{};
   const std::int64_t bits = encode_block(bw, zero);
   EXPECT_EQ(bits, 1);  // just the end-of-block flag
+}
+
+TEST(EncodeBlock, Int32MinLevelWrapsToCodeZero) {
+  // put_se maps INT32_MIN to 2^32, which its uint32 cast wraps to code
+  // 0: the block codes as flag, ue(0), se code 0, end of block -- the
+  // four bits 1110 -- and decodes with that level as 0.
+  util::BitWriter bw;
+  Coeffs8 levels{};
+  levels[0] = INT32_MIN;
+  EXPECT_EQ(encode_block(bw, levels), 4);
+  const std::vector<std::uint8_t> bytes = bw.finish();
+  EXPECT_EQ(bytes, std::vector<std::uint8_t>{0xE0});
+  util::BitReader br(bytes);
+  const std::optional<Coeffs8> back = decode_block(br);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, Coeffs8{});
 }
 
 TEST(EncodeBlock, RoundTripsSparseBlocks) {

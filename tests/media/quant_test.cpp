@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/rng.h"
 
 namespace qosctrl::media {
@@ -63,6 +65,29 @@ TEST(Quant, BlockHelpersMatchScalar) {
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(levels[i], quantize_coeff(coeffs[i], 6));
     EXPECT_EQ(recon[i], dequantize_coeff(levels[i], 6));
+  }
+}
+
+TEST(Quant, BlockMatchesScalarExhaustively) {
+  // Every QP and every coefficient in the range quantize_block accepts,
+  // |c| <= 2^16 (twice the forward DCT's largest output on the
+  // encoder's 9-bit residuals), 64 consecutive values per block.
+  constexpr std::int32_t kBound = 1 << 16;
+  for (int qp = kMinQp; qp <= kMaxQp; ++qp) {
+    for (std::int32_t first = -kBound; first <= kBound; first += 64) {
+      Coeffs8 coeffs;
+      for (std::size_t i = 0; i < coeffs.size(); ++i) {
+        coeffs[i] = std::min<std::int32_t>(
+            first + static_cast<std::int32_t>(i), kBound);
+      }
+      const Coeffs8 levels = quantize_block(coeffs, qp);
+      for (std::size_t i = 0; i < coeffs.size(); ++i) {
+        if (levels[i] != quantize_coeff(coeffs[i], qp)) {
+          FAIL() << "qp " << qp << " c " << coeffs[i] << ": " << levels[i]
+                 << " != " << quantize_coeff(coeffs[i], qp);
+        }
+      }
+    }
   }
 }
 

@@ -208,6 +208,75 @@ TEST(SyntheticVideo, YuvBytesArePinned) {
   }
 }
 
+/// Every frame of a rendering, not a sample: the FNV-1a digests of the
+/// Y, Cb and Cr bytes of frames 0..num_frames-1 chained in frame order.
+struct FrameDigests {
+  std::uint64_t y = 0xcbf29ce484222325ULL, cb = y, cr = y;
+};
+
+void digest_every_frame(const VideoConfig& c, FrameDigests& d) {
+  const SyntheticVideo v(c);
+  for (int f = 0; f < c.num_frames; ++f) {
+    const YuvFrame yuv = v.frame_yuv(f);
+    d.y = fnv1a(yuv.y.data(), d.y);
+    d.cb = fnv1a(yuv.cb.data(), d.cb);
+    d.cr = fnv1a(yuv.cr.data(), d.cr);
+  }
+}
+
+/// The configurations whose every frame is pinned: the default
+/// 582-frame benchmark source, a long single scene (pans carry the
+/// sinusoid arguments into the thousands of radians), CIF, an odd
+/// macroblock count across (7 x 3), and noise 0 and 40.
+const YuvPin kEveryFramePins[] = {
+    {176, 144, 582, 9, 2005, 3.0,
+     0xa0db80dd87c62384ULL, 0xaf59de21bf2222b5ULL, 0x10bba1639993fed3ULL},
+    {176, 144, 400, 1, 9, 3.0,
+     0x71067d6ced9569deULL, 0x2088dacbe67ffa9cULL, 0x70f6bc56197b90e4ULL},
+    {352, 288, 30, 3, 3, 3.0,
+     0x8482cc0d57580f00ULL, 0x86c3061e2b66bf06ULL, 0x2b821144d2f76dfeULL},
+    {112, 48, 60, 4, 21, 3.0,
+     0xf537336f12287342ULL, 0x4125d8e2d664c406ULL, 0x6da03ff59e0e46a7ULL},
+    {176, 144, 40, 4, 99, 0.0,
+     0x3e0971304eec609eULL, 0x2198f91db2cca3fbULL, 0x36e7bdd075361a07ULL},
+    {176, 144, 40, 4, 5, 40.0,
+     0xbfe3a163a5bfe596ULL, 0x719917dc396d8869ULL, 0x9033aa46966baf86ULL},
+};
+
+VideoConfig config_of(const YuvPin& pin) {
+  VideoConfig c;
+  c.width = pin.width;
+  c.height = pin.height;
+  c.num_frames = pin.num_frames;
+  c.num_scenes = pin.num_scenes;
+  c.seed = pin.seed;
+  c.noise_amplitude = pin.noise;
+  return c;
+}
+
+TEST(SyntheticVideo, EveryFrameIsPinned) {
+  for (const YuvPin& pin : kEveryFramePins) {
+    FrameDigests d;
+    digest_every_frame(config_of(pin), d);
+    const std::string where = std::to_string(pin.width) + "x" +
+                              std::to_string(pin.height) + " seed " +
+                              std::to_string(pin.seed);
+    EXPECT_EQ(d.y, pin.y) << where << " Y";
+    EXPECT_EQ(d.cb, pin.cb) << where << " Cb";
+    EXPECT_EQ(d.cr, pin.cr) << where << " Cr";
+  }
+}
+
+TEST(SyntheticVideo, EveryFrameOf32QcifSeedsIsPinned) {
+  FrameDigests d;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    digest_every_frame(config_of({176, 144, 24, 3, seed, 3.0, 0, 0, 0}), d);
+  }
+  EXPECT_EQ(d.y, 0xc44881a3b5d4b69dULL);
+  EXPECT_EQ(d.cb, 0x7051d2d26c52d3a9ULL);
+  EXPECT_EQ(d.cr, 0x806fad4ca45f1537ULL);
+}
+
 TEST(SyntheticVideoDeath, RejectsBadConfig) {
   VideoConfig c = small_config();
   c.num_scenes = 0;

@@ -205,6 +205,77 @@ std::optional<media::Coeffs8> serial_decode_block(SerialReader& br) {
   return out;
 }
 
+void serial_encode_block(SerialWriter& bw, const media::Coeffs8& levels) {
+  const auto& zz = media::zigzag_order();
+  int run = 0;
+  for (int i = 0; i < 64; ++i) {
+    const std::int32_t v = levels[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])];
+    if (v == 0) {
+      ++run;
+      continue;
+    }
+    bw.put_bits(1, 1);
+    serial_put_ue(bw, static_cast<std::uint32_t>(run));
+    serial_put_se(bw, v);
+    run = 0;
+  }
+  bw.put_bits(0, 1);
+}
+
+/// A non-zero level from the ranges the block coder must round-trip or
+/// reproduce: +-1, up to +-300 (the encoder's range), the int32 ends
+/// (INT32_MIN maps to Exp-Golomb code 0, like put_se) and anything in
+/// between, whose 63-bit codes push a coefficient's fields past 64 bits.
+std::int32_t random_level(Rng& rng) {
+  switch (rng.uniform_i64(0, 5)) {
+    case 0:
+      return rng.uniform_i64(0, 1) == 0 ? 1 : -1;
+    case 1:
+    case 2: {
+      const auto v = static_cast<std::int32_t>(rng.uniform_i64(-300, 300));
+      return v == 0 ? 300 : v;
+    }
+    case 3:
+      return INT32_MAX;
+    case 4:
+      return INT32_MIN;
+    default: {
+      const auto v = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(rng.next_u64()));
+      return v == 0 ? -300 : v;
+    }
+  }
+}
+
+/// Sparse or dense blocks: up to 64 non-zero positions, so runs cover
+/// 0..63 (a lone coefficient at scan position 63 has run 63).
+media::Coeffs8 random_block(Rng& rng) {
+  media::Coeffs8 levels{};
+  const auto& zz = media::zigzag_order();
+  switch (rng.uniform_i64(0, 3)) {
+    case 0:  // one coefficient anywhere in scan order
+      levels[static_cast<std::size_t>(
+          zz[static_cast<std::size_t>(rng.uniform_i64(0, 63))])] =
+          random_level(rng);
+      break;
+    case 1: {  // dense
+      for (auto& v : levels) {
+        if (rng.uniform_i64(0, 3) != 0) v = random_level(rng);
+      }
+      break;
+    }
+    default: {  // sparse
+      const int nonzeros = static_cast<int>(rng.uniform_i64(0, 20));
+      for (int k = 0; k < nonzeros; ++k) {
+        levels[static_cast<std::size_t>(rng.uniform_i64(0, 63))] =
+            random_level(rng);
+      }
+      break;
+    }
+  }
+  return levels;
+}
+
 std::vector<std::uint8_t> random_bytes(Rng& rng, int n) {
   std::vector<std::uint8_t> out(static_cast<std::size_t>(n));
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
@@ -352,19 +423,36 @@ TEST(BitIoProperty, ExpGolombReadsMatchSerialReferenceOnMalformedStreams) {
   }
 }
 
+TEST(BitIoProperty, EncodeBlockMatchesSerialReference) {
+  Rng rng(6161);
+  for (int trial = 0; trial < 400; ++trial) {
+    BitWriter bw;
+    SerialWriter ref;
+    // Start at every bit alignment of the writer's accumulator.
+    const int lead = static_cast<int>(rng.uniform_i64(0, 64));
+    const std::uint64_t lead_bits = rng.next_u64();
+    bw.put_bits(lead_bits, lead);
+    ref.put_bits(lead_bits, lead);
+    const int blocks = static_cast<int>(rng.uniform_i64(1, 8));
+    for (int b = 0; b < blocks; ++b) {
+      const media::Coeffs8 levels = random_block(rng);
+      const std::int64_t before = ref.bit_count();
+      serial_encode_block(ref, levels);
+      ASSERT_EQ(media::encode_block(bw, levels), ref.bit_count() - before)
+          << "trial " << trial << " block " << b;
+      ASSERT_EQ(bw.bit_count(), ref.bit_count());
+    }
+    ASSERT_EQ(bw.finish(), ref.finish()) << "trial " << trial;
+  }
+}
+
 TEST(BitIoProperty, DecodeBlockMatchesSerialReferenceOnCorruptStreams) {
   Rng rng(4242);
   for (int trial = 0; trial < 1000; ++trial) {
     BitWriter bw;
     const int blocks = static_cast<int>(rng.uniform_i64(1, 6));
     for (int b = 0; b < blocks; ++b) {
-      media::Coeffs8 levels{};
-      const int nonzeros = static_cast<int>(rng.uniform_i64(0, 20));
-      for (int k = 0; k < nonzeros; ++k) {
-        levels[static_cast<std::size_t>(rng.uniform_i64(0, 63))] =
-            static_cast<std::int32_t>(rng.uniform_i64(-300, 300));
-      }
-      media::encode_block(bw, levels);
+      media::encode_block(bw, random_block(rng));
     }
     std::vector<std::uint8_t> bytes = bw.finish();
     // Corrupt: flip a few bits, then maybe truncate.
