@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -12,15 +14,23 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-/// Cheap deterministic per-pixel noise hash in [-1, 1].
-double noise_hash(int x, int y, int t, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)) * 0x9e3779b97f4a7c15ULL;
-  h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(y)) * 0xc2b2ae3d27d4eb4fULL;
-  h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(t)) * 0x165667b19e3779f9ULL;
+/// Cheap deterministic per-pixel noise in [-1, 1]: a hash of
+/// seed ^ noise_key(x, kNoiseX) ^ noise_key(y, kNoiseY) ^
+/// noise_key(t, kNoiseT).
+constexpr std::uint64_t kNoiseX = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kNoiseY = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kNoiseT = 0x165667b19e3779f9ULL;
+
+std::uint64_t noise_key(int v, std::uint64_t k) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)) * k;
+}
+
+double noise_of(std::uint64_t h) {
   h = (h ^ (h >> 29)) * 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 32;
-  return (static_cast<double>(h & 0xffffff) / double(0xffffff)) * 2.0 - 1.0;
+  // The 24-bit value converts exactly through int32.
+  return (static_cast<double>(static_cast<std::int32_t>(h & 0xffffff)) /
+          double(0xffffff)) * 2.0 - 1.0;
 }
 
 /// One moving object's disc at one frame, on a sample grid whose
@@ -152,7 +162,16 @@ bool SyntheticVideo::is_scene_cut(int index) const {
 
 std::vector<int> SyntheticVideo::scene_starts() const { return starts_; }
 
-Frame SyntheticVideo::frame(int index) const {
+Frame SyntheticVideo::frame(int index, int* exact_rows) const {
+  return render_luma(index, false, exact_rows);
+}
+
+Frame SyntheticVideo::frame_exact(int index) const {
+  return render_luma(index, true, nullptr);
+}
+
+Frame SyntheticVideo::render_luma(int index, bool all_exact,
+                                  int* exact_rows) const {
   const int s = scene_of(index);
   const Scene& scene = scenes_[static_cast<std::size_t>(s)];
   const int local_t = index - starts_[static_cast<std::size_t>(s)];
@@ -162,28 +181,41 @@ Frame SyntheticVideo::frame(int index) const {
   const double oy = scene.pan_vy * local_t;
 
   // Background: sinusoid 1 is a product of an x-only and a y-only
-  // factor; sinusoid 2's argument is a sum of an x-only and a y-only
-  // term, so only its sin() is left per pixel.
+  // factor.  Sinusoid 2's argument is a sum of an x-only and a y-only
+  // term: the exact path evaluates sin(arg2_x + arg2_y + ph2) per pixel,
+  // the fast path sin(a + b) = sin a cos b + cos a sin b from per-column
+  // sin/cos of a = arg2_x and one sin/cos pair of b = arg2_y + ph2 per
+  // row.
   std::vector<double> sin1_x(static_cast<std::size_t>(width));
   std::vector<double> arg2_x(static_cast<std::size_t>(width));
+  std::vector<double> sin2_x(static_cast<std::size_t>(width));
+  std::vector<double> cos2_x(static_cast<std::size_t>(width));
+  double max_arg_x = 0.0;
   for (int x = 0; x < width; ++x) {
+    const std::size_t i = static_cast<std::size_t>(x);
     const double wx = x + ox;
-    sin1_x[static_cast<std::size_t>(x)] =
-        scene.amp1 * std::sin(scene.fx1 * wx * 2.0 * kPi + scene.ph1);
-    arg2_x[static_cast<std::size_t>(x)] = scene.fx2 * wx * 2.0 * kPi;
+    sin1_x[i] = scene.amp1 * std::sin(scene.fx1 * wx * 2.0 * kPi + scene.ph1);
+    arg2_x[i] = scene.fx2 * wx * 2.0 * kPi;
+    sin2_x[i] = std::sin(arg2_x[i]);
+    cos2_x[i] = std::cos(arg2_x[i]);
+    max_arg_x = std::max(max_arg_x, std::abs(arg2_x[i]));
   }
   std::vector<double> cos1_y(static_cast<std::size_t>(height));
   std::vector<double> arg2_y(static_cast<std::size_t>(height));
+  double max_arg_y = 0.0;
   for (int y = 0; y < height; ++y) {
     const double wy = y + oy;
     cos1_y[static_cast<std::size_t>(y)] = std::cos(scene.fy1 * wy * 2.0 * kPi);
     arg2_y[static_cast<std::size_t>(y)] = scene.fy2 * wy * 2.0 * kPi;
+    max_arg_y =
+        std::max(max_arg_y, std::abs(arg2_y[static_cast<std::size_t>(y)]));
   }
 
   // Moving objects: smooth discs with soft edges and a little internal
   // texture, 0.3 * sin(0.5 * dx + phase) * cos(0.5 * dy).
   std::vector<Disc> discs;
   discs.reserve(scene.objects.size());
+  double object_level = 0.0;
   for (const auto& obj : scene.objects) {
     Disc d = disc_at(obj.cx + obj.vx * local_t, obj.cy + obj.vy * local_t,
                      obj.radius, 1, width, height);
@@ -196,18 +228,87 @@ Frame SyntheticVideo::frame(int index) const {
       d.tex_y[j] = std::cos(0.5 * d.dy[j]);
     }
     discs.push_back(std::move(d));
+    object_level += 1.3 * std::abs(obj.brightness);
   }
+
+  // How far the fast pixel value p_f can lie from the exact one p_e.
+  // u = 2^-53 is the unit roundoff; libm's sin and cos are taken to be
+  // within 1 ulp, i.e. |sin_libm(z) - sin(z)| <= 2u |sin(z)| (same for
+  // cos).  Write a = arg2_x, c = arg2_y, f = ph2, and let A bound
+  // |a| + |c| + |f| over the frame.
+  //  1. Arguments.  The exact path's argument t = fl(fl(a + c) + f) and
+  //     the fast path's a + b, b = fl(c + f), each carry roundings of
+  //     at most u A (1 + u): |t - (a + b)| <= u A (3 + u).  sin is
+  //     1-Lipschitz, so sin(t) and sin(a + b) differ by as much.
+  //  2. libm.  The exact sin_libm(t) is within 2u of sin(t).  With
+  //     S_a = sin_libm(a) etc., |S_a C_b - sin a cos b| <= 4u (1 + u)
+  //     |sin a cos b|, likewise for C_a S_b, and |sin a cos b| +
+  //     |cos a sin b| <= 1 (Cauchy-Schwarz): 4u (1 + u) in all.
+  //  3. The fast sum.  fl(fl(S_a C_b) + fl(C_a S_b)) rounds two
+  //     products of total magnitude <= (1 + 2u)^2 and their sum:
+  //     <= 2u (1 + 2u)^2 (1 + u).  A fused multiply-add (AArch64
+  //     contraction; this TU turns contraction off) drops one of these
+  //     roundings and stays inside the bound.
+  //     So the two sines differ by delta <= (3A + 8) u + O(u^2 (A + 14)),
+  //     the exact one has magnitude <= 1 + 2u and the fast one <= 1 + 7u.
+  //  4. Propagation.  fl(amp2 * s) then differs by <= amp2 (delta + u
+  //     (2 + 9u)).  The rest of the pixel -- + background, + each
+  //     covering disc (at most n), + noise -- adds terms both paths
+  //     share, and each of those n + 2 roundings moves the two results
+  //     apart by at most u (|y_f| + |y_e|) <= 2uV, where V bounds every
+  //     partial sum: base + amp1 + amp2 + 1.3 sum|brightness| + noise,
+  //     times 1.01 for the libm and rounding excess (< 2^-40 relative)
+  //     over those nominal amplitudes.
+  // Hence |p_f - p_e| <= amp2 u (3A + 12) + 2uV (n + 2), where + 12
+  // rather than + 10 absorbs the O(u^2) terms for A < 2^40.  The bound
+  // is doubled for the few roundings of its own evaluation.  A row
+  // whose every fast byte is truncated_byte_is_certain() at that bound
+  // is byte-identical to the exact row; any other row is re-rendered
+  // by the exact loop.  Past A = 2^40 every row is.
+  constexpr double kU = 0x1p-53;
+  const double arg_bound = max_arg_x + max_arg_y + std::abs(scene.ph2);
+  const double level_bound =
+      1.01 * (std::abs(scene.base_level) + scene.amp1 + scene.amp2 +
+              object_level + std::abs(config_.noise_amplitude));
+  const double err =
+      arg_bound < 0x1p40
+          ? 2.0 * (scene.amp2 * kU * (3.0 * arg_bound + 12.0) +
+                   2.0 * kU * level_bound *
+                       static_cast<double>(discs.size() + 2))
+          : std::numeric_limits<double>::infinity();
+
+  // Noise keys: the hash input is an xor of a per-column and a per-row
+  // term.
+  std::vector<std::uint64_t> noise_x(static_cast<std::size_t>(width));
+  for (int x = 0; x < width; ++x) {
+    noise_x[static_cast<std::size_t>(x)] = noise_key(x, kNoiseX);
+  }
+  const std::uint64_t frame_key = config_.seed ^ noise_key(index, kNoiseT);
 
   Frame out(width, height);
   std::vector<double> v(static_cast<std::size_t>(width));
-  for (int y = 0; y < height; ++y) {
+  // Renders row y into `out`; false when the fast background left a
+  // byte that truncated_byte_is_certain() does not certify.
+  const auto render_row = [&](int y, bool exact) {
     const double cos1 = cos1_y[static_cast<std::size_t>(y)];
     const double arg2 = arg2_y[static_cast<std::size_t>(y)];
-    for (std::size_t x = 0; x < v.size(); ++x) {
-      double p = scene.base_level;
-      p += sin1_x[x] * cos1;
-      p += scene.amp2 * std::sin(arg2_x[x] + arg2 + scene.ph2);
-      v[x] = p;
+    if (exact) {
+      for (std::size_t x = 0; x < v.size(); ++x) {
+        double p = scene.base_level;
+        p += sin1_x[x] * cos1;
+        p += scene.amp2 * std::sin(arg2_x[x] + arg2 + scene.ph2);
+        v[x] = p;
+      }
+    } else {
+      const double b = arg2 + scene.ph2;
+      const double sin_b = std::sin(b);
+      const double cos_b = std::cos(b);
+      for (std::size_t x = 0; x < v.size(); ++x) {
+        double p = scene.base_level;
+        p += sin1_x[x] * cos1;
+        p += scene.amp2 * (sin2_x[x] * cos_b + cos2_x[x] * sin_b);
+        v[x] = p;
+      }
     }
     for (std::size_t o = 0; o < discs.size(); ++o) {
       const Disc& d = discs[o];
@@ -226,14 +327,29 @@ Frame SyntheticVideo::frame(int index) const {
         }
       }
     }
+    const std::uint64_t row_key = frame_key ^ noise_key(y, kNoiseY);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] += config_.noise_amplitude * noise_of(noise_x[i] ^ row_key);
+    }
+    // The bytes, then each pixel's distance to the nearest jump of the
+    // truncation in place of its value (two loops that vectorize).
     Sample* row = out.row(y);
-    for (int x = 0; x < width; ++x) {
-      const double p = v[static_cast<std::size_t>(x)] +
-                       config_.noise_amplitude *
-                           noise_hash(x, y, index, config_.seed);
-      row[x] = static_cast<Sample>(std::clamp(p, 0.0, 255.0));
+    double* const p = v.data();
+    for (std::size_t x = 0, n = v.size(); x < n; ++x) {
+      row[x] = static_cast<Sample>(std::clamp(p[x], 0.0, 255.0));
+      p[x] = truncation_jump_distance(p[x]);
+    }
+    return exact || std::all_of(v.begin(), v.end(),
+                                [err](double d) { return d > err; });
+  };
+  int fallbacks = 0;
+  for (int y = 0; y < height; ++y) {
+    if (!render_row(y, all_exact)) {
+      render_row(y, true);
+      ++fallbacks;
     }
   }
+  if (exact_rows != nullptr) *exact_rows = all_exact ? height : fallbacks;
   return out;
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -275,6 +276,72 @@ TEST(SyntheticVideo, EveryFrameOf32QcifSeedsIsPinned) {
   EXPECT_EQ(d.y, 0xc44881a3b5d4b69dULL);
   EXPECT_EQ(d.cb, 0x7051d2d26c52d3a9ULL);
   EXPECT_EQ(d.cr, 0x806fad4ca45f1537ULL);
+}
+
+TEST(SyntheticVideo, TruncatedByteCertainOnlyFarFromEveryJump) {
+  constexpr double kErr = 1e-9;
+  constexpr double kIn = 2e-9;    // farther than kErr from the jump
+  constexpr double kOut = 0.5e-9; // within kErr of it
+  for (const double jump : {1.0, 254.0, 255.0}) {
+    EXPECT_TRUE(truncated_byte_is_certain(jump + kIn, kErr)) << jump;
+    EXPECT_TRUE(truncated_byte_is_certain(jump - kIn, kErr)) << jump;
+    EXPECT_FALSE(truncated_byte_is_certain(jump + kOut, kErr)) << jump;
+    EXPECT_FALSE(truncated_byte_is_certain(jump - kOut, kErr)) << jump;
+    EXPECT_FALSE(truncated_byte_is_certain(jump, kErr)) << jump;
+    EXPECT_FALSE(truncated_byte_is_certain(jump, 0.0)) << jump;
+  }
+  // Below 0 and on up to 1 every value gives byte 0, from 255 on every
+  // value gives 255: only the jumps at 1 and 255 count there.
+  for (const double p : {-1e300, -40.0, -kOut, 0.0, kOut, 0.5, 0.99}) {
+    EXPECT_TRUE(truncated_byte_is_certain(p, kErr)) << p;
+  }
+  for (const double p : {255.5, 256.0, 300.0, 0x1p52, 1e300}) {
+    EXPECT_TRUE(truncated_byte_is_certain(p, kErr)) << p;
+  }
+  EXPECT_FALSE(truncated_byte_is_certain(0.5, 0.5));
+  EXPECT_TRUE(truncated_byte_is_certain(0.5, 0.4999));
+  // Interior values: certain exactly when both neighbours are far.
+  EXPECT_TRUE(truncated_byte_is_certain(128.5, 0.4999));
+  EXPECT_FALSE(truncated_byte_is_certain(128.5, 0.5));
+  EXPECT_FALSE(truncated_byte_is_certain(128.0 + kOut, kErr));
+  EXPECT_FALSE(truncated_byte_is_certain(129.0 - kOut, kErr));
+  EXPECT_EQ(truncation_jump_distance(-3.0), 4.0);
+  EXPECT_EQ(truncation_jump_distance(300.0), 45.0);
+  EXPECT_EQ(truncation_jump_distance(17.25), 0.25);
+}
+
+// frame() against frame_exact() over every frame of every pinned
+// configuration, counting the rows the certified fast path handed to
+// the per-pixel loop.
+TEST(SyntheticVideo, FastLumaEqualsExactLumaOnEveryPinnedFrame) {
+  std::vector<VideoConfig> configs;
+  for (const YuvPin& pin : kEveryFramePins) configs.push_back(config_of(pin));
+  for (const YuvPin& pin : kYuvPins) configs.push_back(config_of(pin));
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    configs.push_back(config_of({176, 144, 24, 3, seed, 3.0, 0, 0, 0}));
+  }
+  std::int64_t rows = 0, exact_rows = 0;
+  for (const VideoConfig& c : configs) {
+    const SyntheticVideo v(c);
+    for (int f = 0; f < c.num_frames; ++f) {
+      int fallbacks = -1;
+      const Frame fast = v.frame(f, &fallbacks);
+      ASSERT_EQ(fast.data(), v.frame_exact(f).data())
+          << c.width << "x" << c.height << " seed " << c.seed << " frame "
+          << f;
+      ASSERT_GE(fallbacks, 0);
+      ASSERT_LE(fallbacks, c.height);
+      exact_rows += fallbacks;
+      rows += c.height;
+    }
+  }
+  // The bound is ~1e-11 gray levels, so a fallback row is rare; report
+  // the rate rather than pin it.
+  RecordProperty("rows", std::to_string(rows));
+  RecordProperty("exact_rows", std::to_string(exact_rows));
+  std::printf("fast-path rows re-rendered exactly: %lld of %lld\n",
+              static_cast<long long>(exact_rows),
+              static_cast<long long>(rows));
 }
 
 TEST(SyntheticVideoDeath, RejectsBadConfig) {
