@@ -6,84 +6,136 @@
 #include "util/check.h"
 
 namespace qosctrl::media {
+namespace {
 
-const std::array<int, 64>& zigzag_order() {
-  static const std::array<int, 64> order = [] {
-    std::array<int, 64> o{};
-    int idx = 0;
-    for (int s = 0; s < 15; ++s) {  // anti-diagonals
-      if (s % 2 == 0) {  // up-right
-        for (int y = std::min(s, 7); y >= 0 && s - y <= 7; --y) {
-          o[static_cast<std::size_t>(idx++)] = y * 8 + (s - y);
-        }
-      } else {  // down-left
-        for (int x = std::min(s, 7); x >= 0 && s - x <= 7; --x) {
-          o[static_cast<std::size_t>(idx++)] = (s - x) * 8 + x;
-        }
+constexpr std::array<int, 64> make_zigzag() {
+  std::array<int, 64> o{};
+  int idx = 0;
+  for (int s = 0; s < 15; ++s) {  // anti-diagonals
+    if (s % 2 == 0) {  // up-right
+      for (int y = std::min(s, 7); y >= 0 && s - y <= 7; --y) {
+        o[static_cast<std::size_t>(idx++)] = y * 8 + (s - y);
+      }
+    } else {  // down-left
+      for (int x = std::min(s, 7); x >= 0 && s - x <= 7; --x) {
+        o[static_cast<std::size_t>(idx++)] = (s - x) * 8 + x;
       }
     }
-    return o;
-  }();
-  return order;
+  }
+  return o;
 }
 
-void put_ue(util::BitWriter& bw, std::uint32_t v) {
-  // Code number v -> (v+1) written with leading zeros: one field of
-  // 2 * width - 1 bits whose top width - 1 bits are zero.  Only
-  // v = 2^32 - 1 needs 65 bits; its first zero goes out on its own.
+/// Scan position -> raster position, and its inverse.
+constexpr std::array<int, 64> kZigzag = make_zigzag();
+constexpr std::array<int, 64> kScanPos = [] {
+  std::array<int, 64> pos{};
+  for (std::size_t i = 0; i < 64; ++i) {
+    pos[static_cast<std::size_t>(kZigzag[i])] = static_cast<int>(i);
+  }
+  return pos;
+}();
+
+/// The signed Exp-Golomb code number: 0 -> 0, 1 -> 1, -1 -> 2, 2 -> 3,
+/// -2 -> 4, ..., i.e. 2v - 1 for v > 0 and -2v otherwise, computed
+/// without a branch as the zigzag map of -v.  INT32_MIN maps to 2^32,
+/// which the uint32 wraps to 0.
+std::uint32_t se_code(std::int32_t v) {
+  const std::int64_t n = -static_cast<std::int64_t>(v);
+  return static_cast<std::uint32_t>((n * 2) ^ (n >> 63));
+}
+
+/// The inverse of se_code: (u + 1) / 2, negated for even u, without a
+/// branch (code 2^32 - 1 gives 2^31, which the int32 wraps).
+std::int32_t se_value(std::uint32_t u) {
+  const std::int64_t mag = (static_cast<std::int64_t>(u) + 1) >> 1;
+  const std::int64_t negate = static_cast<std::int64_t>(u & 1) - 1;  // 0 or -1
+  return static_cast<std::int32_t>((mag ^ negate) - negate);
+}
+
+/// An Exp-Golomb field for code number v: v + 1 in 2 * width - 1 bits.
+struct GolombField {
+  std::uint64_t code;
+  int len;
+};
+
+GolombField golomb_field(std::uint32_t v) {
   const std::uint64_t code = static_cast<std::uint64_t>(v) + 1;
-  const int len = 2 * std::bit_width(code) - 1;
+  return {code, static_cast<int>(2 * std::bit_width(code) - 1)};
+}
+
+}  // namespace
+
+const std::array<int, 64>& zigzag_order() { return kZigzag; }
+
+void put_ue(util::BitWriter& bw, std::uint32_t v) {
+  // One field of 2 * width - 1 bits whose top width - 1 bits are zero.
+  // Only v = 2^32 - 1 needs 65 bits; its first zero goes out on its own.
+  const auto [code, len] = golomb_field(v);
   if (len > 64) bw.put_bits(0, len - 64);
   bw.put_bits(code, std::min(len, 64));
 }
 
 std::uint32_t get_ue(util::BitReader& br) {
+  // A code with fewer than 32 leading zeros lies inside one 64-bit
+  // window: its 2 * zeros + 1 bits read as code number + 1.
+  const std::uint64_t window = br.peek_bits(64);
+  const int lead = std::countl_zero(window);
+  if (lead < 32) {
+    br.skip_bits(2 * lead + 1);
+    return static_cast<std::uint32_t>((window >> (63 - 2 * lead)) - 1);
+  }
   // A valid code has at most 32 leading zeros.  A 33rd zero, or the
   // first bit past the end, marks a malformed stream: it decodes as 0
   // after consuming exactly the bits a bit-by-bit scan would have
   // read up to and including that bit.
-  const std::uint64_t window = br.peek_bits(33);
-  if (window == 0) {
-    br.get_bits(
+  if (br.peek_bits(33) == 0) {
+    br.skip_bits(
         static_cast<int>(std::min<std::int64_t>(br.bits_left() + 1, 33)));
     return 0;
   }
-  const int zeros = 33 - std::bit_width(window);
-  br.get_bits(zeros + 1);
-  const std::uint64_t code = (std::uint64_t{1} << zeros) | br.get_bits(zeros);
+  br.skip_bits(33);
+  const std::uint64_t code = (std::uint64_t{1} << 32) | br.get_bits(32);
   return static_cast<std::uint32_t>(code - 1);
 }
 
-void put_se(util::BitWriter& bw, std::int32_t v) {
-  // 0 -> 0, 1 -> 1, -1 -> 2, 2 -> 3, -2 -> 4, ...
-  const std::int64_t wide = v;
-  const std::uint32_t mapped =
-      static_cast<std::uint32_t>(wide > 0 ? 2 * wide - 1 : -2 * wide);
-  put_ue(bw, mapped);
-}
+void put_se(util::BitWriter& bw, std::int32_t v) { put_ue(bw, se_code(v)); }
 
-std::int32_t get_se(util::BitReader& br) {
-  const std::uint32_t u = get_ue(br);
-  if (u == 0) return 0;
-  const std::int64_t mag = (static_cast<std::int64_t>(u) + 1) / 2;
-  return (u % 2 == 1) ? static_cast<std::int32_t>(mag)
-                      : static_cast<std::int32_t>(-mag);
-}
+std::int32_t get_se(util::BitReader& br) { return se_value(get_ue(br)); }
 
 std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
   const std::int64_t before = bw.bit_count();
-  const auto& zz = zigzag_order();
-  int run = 0;
-  for (int i = 0; i < 64; ++i) {
-    const std::int32_t v = levels[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])];
-    if (v == 0) {
-      ++run;
-      continue;
+  // Mark the non-zero positions in scan order, skipping all-zero rows.
+  std::uint64_t nonzero = 0;
+  for (std::size_t r = 0; r < 64; r += 8) {
+    std::int32_t any = 0;
+    for (std::size_t c = 0; c < 8; ++c) any |= levels[r + c];
+    if (any == 0) continue;
+    for (std::size_t c = 0; c < 8; ++c) {
+      nonzero |= static_cast<std::uint64_t>(levels[r + c] != 0)
+                 << kScanPos[r + c];
     }
-    bw.put_bit(true);  // "coefficient follows" flag
-    put_ue(bw, static_cast<std::uint32_t>(run));
-    put_se(bw, v);
-    run = 0;
+  }
+  int next = 0;  // scan position after the previous coefficient
+  for (; nonzero != 0; nonzero &= nonzero - 1) {
+    const int i = std::countr_zero(nonzero);
+    const auto run = static_cast<std::uint32_t>(i - next);
+    next = i + 1;
+    const std::int32_t v =
+        levels[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(i)])];
+    // "Coefficient follows" flag, ue(run) and se(level), as one field
+    // when the three fit in 64 bits: any level below 2^23 in magnitude,
+    // and larger ones after shorter runs.
+    const GolombField r = golomb_field(run);
+    const GolombField l = golomb_field(se_code(v));
+    const int len = 1 + r.len + l.len;
+    if (len <= 64) {
+      bw.put_bits((((std::uint64_t{1} << r.len) | r.code) << l.len) | l.code,
+                  len);
+    } else {
+      bw.put_bit(true);
+      put_ue(bw, run);
+      put_se(bw, v);
+    }
   }
   bw.put_bit(false);  // end of block
   return bw.bit_count() - before;
@@ -91,18 +143,39 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
 
 std::optional<Coeffs8> decode_block(util::BitReader& br) {
   Coeffs8 out{};
-  const auto& zz = zigzag_order();
   int pos = 0;
-  while (br.get_bit()) {
-    const int run = static_cast<int>(get_ue(br));
-    const std::int32_t level = get_se(br);
+  for (;;) {
+    // The flag, ue(run) and se(level) from one 64-bit window when they
+    // fit in it, as the serial reads would decode them; bits past the
+    // end read as zero either way, and the reader advances by the same
+    // count, so the overrun flag agrees too.
+    const std::uint64_t w = br.peek_bits(64);
+    if ((w >> 63) == 0) break;  // end of block
+    const int run_zeros = std::countl_zero(w << 1);
+    const int run_end = 2 * run_zeros + 2;  // flag + ue(run)
+    const int level_zeros = run_end < 64 ? std::countl_zero(w << run_end) : 64;
+    const int end = run_end + 2 * level_zeros + 1;
+    int run;
+    std::int32_t level;
+    if (end <= 64) {
+      run = static_cast<int>(((w << 1) >> (63 - 2 * run_zeros)) - 1);
+      level = se_value(static_cast<std::uint32_t>(
+          ((w << run_end) >> (63 - 2 * level_zeros)) - 1));
+      br.skip_bits(end);
+    } else {
+      br.skip_bits(1);
+      run = static_cast<int>(get_ue(br));
+      level = get_se(br);
+    }
     if (run < 0 || pos + run >= 64 || br.overrun()) {
       return std::nullopt;  // corrupt stream: run past end of block
     }
     pos += run;
-    out[static_cast<std::size_t>(zz[static_cast<std::size_t>(pos)])] = level;
+    out[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(pos)])] =
+        level;
     ++pos;
   }
+  br.skip_bits(1);
   if (br.overrun()) return std::nullopt;
   return out;
 }

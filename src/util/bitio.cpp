@@ -4,17 +4,6 @@
 #include <cstring>
 
 namespace qosctrl::util {
-namespace {
-
-std::uint64_t to_big_endian(std::uint64_t w) {
-  if constexpr (std::endian::native == std::endian::little) {
-    return __builtin_bswap64(w);
-  }
-  return w;
-}
-
-}  // namespace
-
 void BitWriter::spill(std::uint64_t value, int count) {
   const int rest = count - (64 - pending_);  // in [0, 63]
   const std::uint64_t full =
@@ -39,9 +28,7 @@ std::vector<std::uint8_t> BitWriter::finish() {
   return out;
 }
 
-std::uint64_t BitReader::peek_bits(int count) const {
-  QC_EXPECT(count >= 0 && count <= 64, "bit count must be in [0, 64]");
-  if (count == 0) return 0;
+std::uint64_t BitReader::peek_near_end(int count) const {
   // An 8-byte window from the byte holding the next bit, zero-filled
   // past the end; a field that starts mid-byte and spans more than the
   // window's remaining 64 - skip bits takes its tail from a ninth byte.
@@ -52,13 +39,8 @@ std::uint64_t BitReader::peek_bits(int count) const {
     return i < size ? bytes_[static_cast<std::size_t>(i)] : 0;
   };
   std::uint64_t window = 0;
-  if (first + 8 <= size) {
-    std::memcpy(&window, bytes_.data() + first, 8);
-    window = to_big_endian(window);
-  } else {
-    for (std::uint64_t i = first; i < first + 8; ++i) {
-      window = (window << 8) | byte_at(i);
-    }
+  for (std::uint64_t i = first; i < first + 8; ++i) {
+    window = (window << 8) | byte_at(i);
   }
   std::uint64_t v = (window << skip) >> (64 - count);
   const int tail = count + skip - 64;
@@ -68,8 +50,7 @@ std::uint64_t BitReader::peek_bits(int count) const {
 
 std::uint64_t BitReader::get_bits(int count) {
   const std::uint64_t v = peek_bits(count);
-  if (count > bits_left()) overrun_ = true;
-  pos_ += count;
+  skip_bits(count);
   return v;
 }
 

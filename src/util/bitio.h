@@ -10,12 +10,22 @@
 // checks both against a bit-serial reference).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/check.h"
 
 namespace qosctrl::util {
+
+/// A native 64-bit load as the big-endian (MSB-first) word.
+inline std::uint64_t to_big_endian(std::uint64_t w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap64(w);
+  }
+  return w;
+}
 
 /// MSB-first bit sink.
 class BitWriter {
@@ -68,9 +78,31 @@ class BitReader {
 
   bool get_bit() { return get_bits(1) != 0; }
 
+  /// Advances past `count` >= 0 bits exactly as get_bits(count) would
+  /// (overrun() included), without reading them.
+  void skip_bits(std::int64_t count) {
+    if (count > bits_left()) overrun_ = true;
+    pos_ += count;
+  }
+
   /// The next `count` bits (0 <= count <= 64) without consuming them;
   /// bits past the end read as zero.
-  std::uint64_t peek_bits(int count) const;
+  std::uint64_t peek_bits(int count) const {
+    QC_EXPECT(count >= 0 && count <= 64, "bit count must be in [0, 64]");
+    if (count == 0) return 0;
+    // Away from the end: an 8-byte window from the byte holding the
+    // next bit, plus a ninth byte for a field that starts mid-byte and
+    // spans more than the window's remaining 64 - skip bits.
+    const std::uint64_t first = static_cast<std::uint64_t>(pos_ >> 3);
+    if (first + 9 > bytes_.size()) return peek_near_end(count);
+    std::uint64_t window;
+    std::memcpy(&window, bytes_.data() + first, 8);
+    const int skip = static_cast<int>(pos_ & 7);
+    std::uint64_t v = (to_big_endian(window) << skip) >> (64 - count);
+    const int tail = count + skip - 64;
+    if (tail > 0) v |= std::uint64_t{bytes_[first + 8]} >> (8 - tail);
+    return v;
+  }
 
   /// Bits left before the end of the buffer (0 once past it).
   std::int64_t bits_left() const {
@@ -82,6 +114,9 @@ class BitReader {
   bool overrun() const { return overrun_; }
 
  private:
+  /// peek_bits() within 9 bytes of the end (or past it).
+  std::uint64_t peek_near_end(int count) const;
+
   const std::vector<std::uint8_t>& bytes_;
   std::int64_t pos_ = 0;
   bool overrun_ = false;
