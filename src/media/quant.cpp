@@ -17,9 +17,26 @@ std::int32_t dequantize_coeff(std::int32_t level, int qp) {
 }
 
 Coeffs8 quantize_block(const Coeffs8& coeffs, int qp) {
+  QC_EXPECT(qp >= kMinQp && qp <= kMaxQp, "QP out of range");
+  // quantize_coeff's (|c| + qp) / step as a multiply and shift.  With
+  // m = ceil(2^32 / step) = (2^32 + e) / step, 0 <= e <= step - 1 <= 61,
+  // and n = |c| + qp = q * step + r, 0 <= r < step:
+  //   n * m / 2^32 = q + (r * 2^32 + n * e) / (step * 2^32),
+  // and the fraction is in [0, 1) whenever n * e < 2^32, since then
+  // r * 2^32 + n * e < (step - 1) * 2^32 + 2^32.  So the shifted
+  // product is q exactly for n < 2^32 / 61, far above the
+  // |c| <= kMaxQuantCoeff (n <= 2^16 + 31) this function accepts.
+  const auto step = static_cast<std::uint32_t>(2 * qp);
+  const std::uint64_t m = ((std::uint64_t{1} << 32) + step - 1) / step;
+  const auto half = static_cast<std::uint32_t>(qp);
   Coeffs8 out;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = quantize_coeff(coeffs[i], qp);
+    const std::int32_t c = coeffs[i];
+    QC_DCHECK(c >= -kMaxQuantCoeff && c <= kMaxQuantCoeff,
+              "coefficient beyond the quantizer's range");
+    const std::uint32_t n = static_cast<std::uint32_t>(std::abs(c)) + half;
+    const auto mag = static_cast<std::int32_t>((n * m) >> 32);
+    out[i] = c < 0 ? -mag : mag;
   }
   return out;
 }

@@ -15,7 +15,14 @@ std::int32_t quantize_coeff(std::int32_t c, int qp);
 /// Reconstructs a coefficient from its quantized level.
 std::int32_t dequantize_coeff(std::int32_t level, int qp);
 
-/// Blockwise helpers.
+/// The largest coefficient magnitude quantize_block accepts (checked in
+/// debug builds): the inverse DCT's input range, eight times the
+/// forward DCT's largest output over its 10-bit input range.
+inline constexpr std::int32_t kMaxQuantCoeff = 1 << 16;
+
+/// Blockwise helpers.  quantize_block equals quantize_coeff on every
+/// coefficient with |c| <= kMaxQuantCoeff; it checks the QP once per
+/// block and divides by an exact per-QP reciprocal.
 Coeffs8 quantize_block(const Coeffs8& coeffs, int qp);
 Coeffs8 dequantize_block(const Coeffs8& levels, int qp);
 
