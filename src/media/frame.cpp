@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "media/simd/kernels.h"
 
@@ -78,11 +79,11 @@ Block8 read_block8(const Frame& frame, int x0, int y0, int b) {
 
 std::int64_t sad_256(const std::array<Sample, 256>& a,
                      const std::array<Sample, 256>& b) {
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < 256; ++i) {
-    acc += std::abs(static_cast<int>(a[i]) - static_cast<int>(b[i]));
-  }
-  return acc;
+  // Both blocks at stride 16; no SAD reaches INT64_MAX, so the kernel
+  // never exits early and returns the exact sum.
+  return simd::active_kernels().sad_16x16(
+      a.data(), b.data(), kMacroBlockSize,
+      std::numeric_limits<std::int64_t>::max());
 }
 
 std::int64_t frame_sse_i64(const Frame& a, const Frame& b) {

@@ -106,7 +106,8 @@ Block8 read_block8(const Frame& frame, int x0, int y0, int b);
 // ---------------------------------------------------------------------------
 // Metrics (paper: PSNR between input and output frames)
 
-/// Sum of absolute differences between two 16x16 blocks.
+/// Sum of absolute differences between two 16x16 blocks (the
+/// SIMD-dispatched sad_16x16 kernel at stride 16; exact).
 std::int64_t sad_256(const std::array<Sample, 256>& a,
                      const std::array<Sample, 256>& b);
 
