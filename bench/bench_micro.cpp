@@ -23,6 +23,7 @@
 #include "media/entropy.h"
 #include "media/motion.h"
 #include "media/padded_frame.h"
+#include "media/quant.h"
 #include "media/simd/kernels.h"
 #include "media/synthetic_video.h"
 #include "obs/buildinfo.h"
@@ -353,6 +354,44 @@ void BM_EntropyEncodeBlock(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EntropyEncodeBlock);
+
+// The decoder side of BM_EntropyEncodeBlock: the same 12-coefficient
+// block read back from its bitstream.
+void BM_DecodeBlock(benchmark::State& state) {
+  util::Rng rng(5);
+  media::Coeffs8 levels{};
+  for (int k = 0; k < 12; ++k) {
+    levels[static_cast<std::size_t>(rng.uniform_i64(0, 63))] =
+        static_cast<std::int32_t>(rng.uniform_i64(-40, 40));
+  }
+  util::BitWriter bw;
+  media::encode_block(bw, levels);
+  const std::vector<std::uint8_t> bytes = bw.finish();
+  for (auto _ : state) {
+    util::BitReader br(bytes);
+    benchmark::DoNotOptimize(media::decode_block(br));
+  }
+}
+BENCHMARK(BM_DecodeBlock);
+
+// One 8x8 block of transform coefficients at QP 8, cycling through 8
+// blocks whose magnitudes fall off with frequency like a residual's.
+void BM_QuantizeBlock(benchmark::State& state) {
+  util::Rng rng(6);
+  std::array<media::Coeffs8, 8> blocks;
+  for (auto& block : blocks) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      const std::int64_t span = 600 / static_cast<std::int64_t>(1 + i / 4);
+      block[i] = static_cast<std::int32_t>(rng.uniform_i64(-span, span));
+    }
+  }
+  std::size_t b = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(media::quantize_block(blocks[b], 8));
+    b = (b + 1) % blocks.size();
+  }
+}
+BENCHMARK(BM_QuantizeBlock);
 
 void BM_SyntheticFrame(benchmark::State& state) {
   const media::SyntheticVideo video{media::VideoConfig{}};
