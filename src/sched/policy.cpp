@@ -61,6 +61,11 @@ bool schedulable(const PolicyParams& policy, const std::vector<NpTask>& tasks,
   }
   const rt::Cycles blocking =
       policy.kind == PolicyKind::kQuantumEdf ? policy.quantum : 0;
+  // Free context switches inflate nothing: test the committed set as it
+  // is instead of a copy.
+  if (policy.context_switch_cost == 0) {
+    return demand_schedulable(tasks, blocking, policy.demand_algo, query);
+  }
   return demand_schedulable(
       inflate_context_switch(tasks, policy.context_switch_cost), blocking,
       policy.demand_algo, query);
