@@ -47,6 +47,35 @@ void write_plane_block8(Plane& plane, int x0, int y0,
   }
 }
 
+namespace {
+
+/// The 8x8 half-pel interpolation of chroma_motion_compensate over the
+/// samples at(x, y), x and y in [0, 8].
+template <typename At>
+std::array<Sample, 64> interpolate_8x8(const At& at, int fx, int fy) {
+  std::array<Sample, 64> out;
+  for (int y = 0; y < kTransformSize; ++y) {
+    for (int x = 0; x < kTransformSize; ++x) {
+      const int a = at(x, y);
+      int v;
+      if (fx == 0 && fy == 0) {
+        v = a;
+      } else if (fx == 1 && fy == 0) {
+        v = (a + at(x + 1, y) + 1) / 2;
+      } else if (fx == 0) {
+        v = (a + at(x, y + 1) + 1) / 2;
+      } else {
+        v = (a + at(x + 1, y) + at(x, y + 1) + at(x + 1, y + 1) + 2) / 4;
+      }
+      out[static_cast<std::size_t>(y * kTransformSize + x)] =
+          static_cast<Sample>(v);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 std::array<Sample, 64> chroma_motion_compensate(const Plane& reference,
                                                 int x0, int y0, int luma_dx2,
                                                 int luma_dy2) {
@@ -60,29 +89,24 @@ std::array<Sample, 64> chroma_motion_compensate(const Plane& reference,
   const int iy = (cdy2 >= 0) ? cdy2 / 2 : (cdy2 - 1) / 2;
   const int fx = cdx2 - 2 * ix;
   const int fy = cdy2 - 2 * iy;
-  std::array<Sample, 64> out;
-  for (int y = 0; y < kTransformSize; ++y) {
-    for (int x = 0; x < kTransformSize; ++x) {
-      const int bx = x0 + x + ix;
-      const int by = y0 + y + iy;
-      const int a = reference.at_clamped(bx, by);
-      int v;
-      if (fx == 0 && fy == 0) {
-        v = a;
-      } else if (fx == 1 && fy == 0) {
-        v = (a + reference.at_clamped(bx + 1, by) + 1) / 2;
-      } else if (fx == 0) {
-        v = (a + reference.at_clamped(bx, by + 1) + 1) / 2;
-      } else {
-        v = (a + reference.at_clamped(bx + 1, by) +
-             reference.at_clamped(bx, by + 1) +
-             reference.at_clamped(bx + 1, by + 1) + 2) / 4;
-      }
-      out[static_cast<std::size_t>(y * kTransformSize + x)] =
-          static_cast<Sample>(v);
-    }
+  const int bx = x0 + ix;
+  const int by = y0 + iy;
+  // The interpolation reads the 9x9 samples from (bx, by).  Inside the
+  // plane they are read directly; otherwise each coordinate is clamped
+  // to the edge, which changes nothing for one inside it.
+  if (reference.in_bounds(bx, by) &&
+      reference.in_bounds(bx + kTransformSize, by + kTransformSize)) {
+    const Sample* origin = reference.row(by) + bx;
+    const int stride = reference.stride();
+    return interpolate_8x8(
+        [origin, stride](int x, int y) { return origin[y * stride + x]; }, fx,
+        fy);
   }
-  return out;
+  return interpolate_8x8(
+      [&reference, bx, by](int x, int y) {
+        return reference.at_clamped(bx + x, by + y);
+      },
+      fx, fy);
 }
 
 std::array<Sample, 64> chroma_dc_prediction(const Plane& recon, int x0,

@@ -42,9 +42,10 @@ Coeffs8 quantize_block(const Coeffs8& coeffs, int qp) {
 }
 
 Coeffs8 dequantize_block(const Coeffs8& levels, int qp) {
+  QC_EXPECT(qp >= kMinQp && qp <= kMaxQp, "QP out of range");
   Coeffs8 out;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = dequantize_coeff(levels[i], qp);
+    out[i] = levels[i] * 2 * qp;
   }
   return out;
 }

@@ -75,6 +75,46 @@ TEST(ChromaMotionCompensate, HalfLumaPelLandsOnHalfChromaPel) {
   }
 }
 
+TEST(ChromaMotionCompensate, MatchesEdgeClampedReferenceEverywhere) {
+  // Every vector that reaches from inside the plane to past each edge,
+  // against the formula evaluated with every sample edge-clamped.
+  util::Rng rng(17);
+  Plane ref(24, 16);
+  for (int y = 0; y < ref.height(); ++y) {
+    for (int x = 0; x < ref.width(); ++x) {
+      ref.set(x, y, static_cast<Sample>(rng.uniform_i64(0, 255)));
+    }
+  }
+  for (int y0 = 0; y0 < ref.height(); y0 += 8) {
+    for (int x0 = 0; x0 < ref.width(); x0 += 8) {
+      for (int dy2 = -40; dy2 <= 40; ++dy2) {
+        for (int dx2 = -40; dx2 <= 40; ++dx2) {
+          const int cdx2 = dx2 / 2 + dx2 % 2;
+          const int cdy2 = dy2 / 2 + dy2 % 2;
+          const int ix = cdx2 >= 0 ? cdx2 / 2 : (cdx2 - 1) / 2;
+          const int iy = cdy2 >= 0 ? cdy2 / 2 : (cdy2 - 1) / 2;
+          const int fx = cdx2 - 2 * ix;
+          const int fy = cdy2 - 2 * iy;
+          const auto got = chroma_motion_compensate(ref, x0, y0, dx2, dy2);
+          for (int y = 0; y < 8; ++y) {
+            for (int x = 0; x < 8; ++x) {
+              const int bx = x0 + x + ix;
+              const int by = y0 + y + iy;
+              const int sum = ref.at_clamped(bx, by) +
+                              ref.at_clamped(bx + fx, by) +
+                              ref.at_clamped(bx, by + fy) +
+                              ref.at_clamped(bx + fx, by + fy);
+              ASSERT_EQ(got[static_cast<std::size_t>(y * 8 + x)], (sum + 2) / 4)
+                  << "block (" << x0 << "," << y0 << ") vector (" << dx2
+                  << "," << dy2 << ") pixel (" << x << "," << y << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ChromaDcPrediction, AveragesNeighbors) {
   Plane recon(16, 16, 0);
   for (int x = 0; x < 8; ++x) recon.set(8 + x, 7, 100);  // row above
