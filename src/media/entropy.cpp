@@ -115,6 +115,19 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
                  << kScanPos[r + c];
     }
   }
+  // Fields collect in a local accumulator and reach the writer up to 64
+  // bits at a time; the concatenated bits are the same.
+  std::uint64_t pending = 0;
+  int pending_len = 0;
+  const auto emit = [&](std::uint64_t field, int len) {
+    if (pending_len + len > 64) {
+      bw.put_bits(pending, pending_len);
+      pending = 0;
+      pending_len = 0;
+    }
+    pending = (len < 64 ? pending << len : 0) | field;
+    pending_len += len;
+  };
   int next = 0;  // scan position after the previous coefficient
   for (; nonzero != 0; nonzero &= nonzero - 1) {
     const int i = std::countr_zero(nonzero);
@@ -129,15 +142,18 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
     const GolombField l = golomb_field(se_code(v));
     const int len = 1 + r.len + l.len;
     if (len <= 64) {
-      bw.put_bits((((std::uint64_t{1} << r.len) | r.code) << l.len) | l.code,
-                  len);
+      emit((((std::uint64_t{1} << r.len) | r.code) << l.len) | l.code, len);
     } else {
+      bw.put_bits(pending, pending_len);
+      pending = 0;
+      pending_len = 0;
       bw.put_bit(true);
       put_ue(bw, run);
       put_se(bw, v);
     }
   }
-  bw.put_bit(false);  // end of block
+  emit(0, 1);  // end of block
+  bw.put_bits(pending, pending_len);
   return bw.bit_count() - before;
 }
 
