@@ -161,28 +161,50 @@ std::optional<Coeffs8> decode_block(util::BitReader& br) {
   Coeffs8 out{};
   int pos = 0;
   for (;;) {
-    // The flag, ue(run) and se(level) from one 64-bit window when they
-    // fit in it, as the serial reads would decode them; bits past the
-    // end read as zero either way, and the reader advances by the same
-    // count, so the overrun flag agrees too.
-    const std::uint64_t w = br.peek_bits(64);
-    if ((w >> 63) == 0) break;  // end of block
-    const int run_zeros = std::countl_zero(w << 1);
-    const int run_end = 2 * run_zeros + 2;  // flag + ue(run)
-    const int level_zeros = run_end < 64 ? std::countl_zero(w << run_end) : 64;
-    const int end = run_end + 2 * level_zeros + 1;
-    int run;
-    std::int32_t level;
-    if (end <= 64) {
-      run = static_cast<int>(((w << 1) >> (63 - 2 * run_zeros)) - 1);
-      level = se_value(static_cast<std::uint32_t>(
+    // Decode from one 64-bit window while each coefficient's flag,
+    // ue(run) and se(level) lie inside it, as the serial reads would:
+    // bits past the end read as zero in both.  The reader advances by
+    // the `used` bits when the window is refilled or decoding stops, so
+    // a coefficient overruns exactly when `used` passes the bits that
+    // were left.
+    const std::uint64_t window = br.peek_bits(64);
+    const bool overrun = br.overrun();
+    const std::int64_t left = br.bits_left();
+    int used = 0;
+    while (used < 64) {
+      const std::uint64_t w = window << used;
+      if ((w >> 63) == 0) {  // end of block
+        br.skip_bits(used + 1);
+        if (br.overrun()) return std::nullopt;
+        return out;
+      }
+      const int run_zeros = std::countl_zero(w << 1);
+      const int run_end = 2 * run_zeros + 2;  // flag + ue(run)
+      const int level_zeros =
+          run_end < 64 ? std::countl_zero(w << run_end) : 64;
+      const int end = run_end + 2 * level_zeros + 1;
+      if (end > 64 - used) break;
+      const int run = static_cast<int>(((w << 1) >> (63 - 2 * run_zeros)) - 1);
+      const std::int32_t level = se_value(static_cast<std::uint32_t>(
           ((w << run_end) >> (63 - 2 * level_zeros)) - 1));
-      br.skip_bits(end);
-    } else {
-      br.skip_bits(1);
-      run = static_cast<int>(get_ue(br));
-      level = get_se(br);
+      used += end;
+      if (pos + run >= 64 || overrun || used > left) {
+        br.skip_bits(used);
+        return std::nullopt;  // corrupt stream: run past end of block
+      }
+      pos += run;
+      out[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(pos)])] =
+          level;
+      ++pos;
     }
+    if (used > 0) {
+      br.skip_bits(used);
+      continue;
+    }
+    // Fields longer than the window: the serial reads.
+    br.skip_bits(1);
+    const int run = static_cast<int>(get_ue(br));
+    const std::int32_t level = get_se(br);
     if (run < 0 || pos + run >= 64 || br.overrun()) {
       return std::nullopt;  // corrupt stream: run past end of block
     }
@@ -191,9 +213,6 @@ std::optional<Coeffs8> decode_block(util::BitReader& br) {
         level;
     ++pos;
   }
-  br.skip_bits(1);
-  if (br.overrun()) return std::nullopt;
-  return out;
 }
 
 }  // namespace qosctrl::media
