@@ -1,6 +1,7 @@
 #include "media/synthetic_video.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -277,6 +278,9 @@ Frame SyntheticVideo::render_luma(int index, bool all_exact,
                        static_cast<double>(discs.size() + 2))
           : std::numeric_limits<double>::infinity();
 
+  const double above_err =
+      std::nextafter(err, std::numeric_limits<double>::infinity());
+
   // Noise keys: the hash input is an xor of a per-column and a per-row
   // term.
   std::vector<std::uint64_t> noise_x(static_cast<std::size_t>(width));
@@ -331,16 +335,21 @@ Frame SyntheticVideo::render_luma(int index, bool all_exact,
     for (std::size_t i = 0; i < v.size(); ++i) {
       v[i] += config_.noise_amplitude * noise_of(noise_x[i] ^ row_key);
     }
-    // The bytes, then each pixel's distance to the nearest jump of the
-    // truncation in place of its value (two loops that vectorize).
+    // The bytes, and truncated_byte_is_certain(p, err) for the whole
+    // row without a branch: distance - above_err is negative exactly
+    // when distance <= err (no double lies between err and above_err,
+    // and a difference of doubles is zero only when they are equal), so
+    // the OR of the differences' sign bits flags a row with an
+    // uncertain byte.
     Sample* row = out.row(y);
-    double* const p = v.data();
+    const double* const p = v.data();
+    std::uint64_t uncertain = 0;
     for (std::size_t x = 0, n = v.size(); x < n; ++x) {
       row[x] = static_cast<Sample>(std::clamp(p[x], 0.0, 255.0));
-      p[x] = truncation_jump_distance(p[x]);
+      uncertain |= std::bit_cast<std::uint64_t>(
+          truncation_jump_distance(p[x]) - above_err);
     }
-    return exact || std::all_of(v.begin(), v.end(),
-                                [err](double d) { return d > err; });
+    return exact || (uncertain >> 63) == 0;
   };
   int fallbacks = 0;
   for (int y = 0; y < height; ++y) {

@@ -63,8 +63,7 @@ struct VideoConfig {
 /// side of all the jumps, which clamps to the nearest one as well.  The
 /// final subtraction is exact for p in [0.5, 510] (Sterbenz) and
 /// rounds monotonically elsewhere, so the result is above a double
-/// `err` only when the true distance is.  Branch-free, so a row of
-/// pixels vectorizes.
+/// `err` only when the true distance is.  Branch-free.
 inline double truncation_jump_distance(double p) {
   constexpr double kRound = 0x1.8p52;
   const double nearest = (p + kRound) - kRound;
