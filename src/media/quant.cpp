@@ -26,8 +26,10 @@ Coeffs8 quantize_block(const Coeffs8& coeffs, int qp) {
   // r * 2^32 + n * e < (step - 1) * 2^32 + 2^32.  So the shifted
   // product is q exactly for n < 2^32 / 61, far above the
   // |c| <= kMaxQuantCoeff (n <= 2^16 + 31) this function accepts.
+  // m <= 2^31, so the product is one 32 x 32 -> 64-bit multiply.
   const auto step = static_cast<std::uint32_t>(2 * qp);
-  const std::uint64_t m = ((std::uint64_t{1} << 32) + step - 1) / step;
+  const auto m = static_cast<std::uint32_t>(
+      ((std::uint64_t{1} << 32) + step - 1) / step);
   const auto half = static_cast<std::uint32_t>(qp);
   Coeffs8 out;
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -35,7 +37,8 @@ Coeffs8 quantize_block(const Coeffs8& coeffs, int qp) {
     QC_DCHECK(c >= -kMaxQuantCoeff && c <= kMaxQuantCoeff,
               "coefficient beyond the quantizer's range");
     const std::uint32_t n = static_cast<std::uint32_t>(std::abs(c)) + half;
-    const auto mag = static_cast<std::int32_t>((n * m) >> 32);
+    const auto mag =
+        static_cast<std::int32_t>((std::uint64_t{n} * m) >> 32);
     out[i] = c < 0 ? -mag : mag;
   }
   return out;
