@@ -135,21 +135,17 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
     next = i + 1;
     const std::int32_t v =
         levels[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(i)])];
-    // "Coefficient follows" flag, ue(run) and se(level), as one field
-    // when the three fit in 64 bits: any level below 2^23 in magnitude,
-    // and larger ones after shorter runs.
+    // "Coefficient follows" flag and ue(run), then se(level) (at most
+    // 63 bits), as one field when the three fit in 64 bits: any level
+    // below 2^23 in magnitude, and larger ones after shorter runs.
     const GolombField r = golomb_field(run);
     const GolombField l = golomb_field(se_code(v));
-    const int len = 1 + r.len + l.len;
-    if (len <= 64) {
-      emit((((std::uint64_t{1} << r.len) | r.code) << l.len) | l.code, len);
+    const std::uint64_t head = (std::uint64_t{1} << r.len) | r.code;
+    if (1 + r.len + l.len <= 64) {
+      emit((head << l.len) | l.code, 1 + r.len + l.len);
     } else {
-      bw.put_bits(pending, pending_len);
-      pending = 0;
-      pending_len = 0;
-      bw.put_bit(true);
-      put_ue(bw, run);
-      put_se(bw, v);
+      emit(head, 1 + r.len);
+      emit(l.code, l.len);
     }
   }
   emit(0, 1);  // end of block
@@ -160,6 +156,16 @@ std::int64_t encode_block(util::BitWriter& bw, const Coeffs8& levels) {
 std::optional<Coeffs8> decode_block(util::BitReader& br) {
   Coeffs8 out{};
   int pos = 0;
+  // Stores a decoded coefficient; false for a run past the end of the
+  // block (a corrupt stream).
+  const auto place = [&](int run, std::int32_t level) {
+    if (run < 0 || pos + run >= 64) return false;
+    pos += run;
+    out[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(pos)])] =
+        level;
+    ++pos;
+    return true;
+  };
   for (;;) {
     // Decode from one 64-bit window while each coefficient's flag,
     // ue(run) and se(level) lie inside it, as the serial reads would:
@@ -188,14 +194,10 @@ std::optional<Coeffs8> decode_block(util::BitReader& br) {
       const std::int32_t level = se_value(static_cast<std::uint32_t>(
           ((w << run_end) >> (63 - 2 * level_zeros)) - 1));
       used += end;
-      if (pos + run >= 64 || overrun || used > left) {
+      if (overrun || used > left || !place(run, level)) {
         br.skip_bits(used);
-        return std::nullopt;  // corrupt stream: run past end of block
+        return std::nullopt;
       }
-      pos += run;
-      out[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(pos)])] =
-          level;
-      ++pos;
     }
     if (used > 0) {
       br.skip_bits(used);
@@ -205,13 +207,7 @@ std::optional<Coeffs8> decode_block(util::BitReader& br) {
     br.skip_bits(1);
     const int run = static_cast<int>(get_ue(br));
     const std::int32_t level = get_se(br);
-    if (run < 0 || pos + run >= 64 || br.overrun()) {
-      return std::nullopt;  // corrupt stream: run past end of block
-    }
-    pos += run;
-    out[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(pos)])] =
-        level;
-    ++pos;
+    if (br.overrun() || !place(run, level)) return std::nullopt;
   }
 }
 
