@@ -50,12 +50,13 @@ import sys
 # measurement, not a bar.
 # RenegotiationStorm tracks one controller's verdict rate on a
 # join-storm slice, where nearly every join is a renegotiation probe.
-# SyntheticFrame(Yuv) and EntropyEncodeBlock track the source renderer
-# and the block entropy coder, the two data-plane layers that dominate
-# a farm run's wall clock.
+# SyntheticFrame(Yuv), EntropyEncodeBlock, DecodeBlock and
+# QuantizeBlock track the source renderer, the block entropy coder both
+# ways and the quantizer, the data-plane layers that dominate a farm
+# run's wall clock.
 DEFAULT_BENCHMARKS = (
     r"^BM_(SadMacroblock|ForwardDct8|PsnrFrame|SsimFrame"
-    r"|SyntheticFrame(Yuv)?|EntropyEncodeBlock"
+    r"|SyntheticFrame(Yuv)?|EntropyEncodeBlock|DecodeBlock|QuantizeBlock"
     r"|AdmissionThroughput(Exact)?/\d+"
     r"|ShardedJoinRate/\d+/real_time|RenegotiationStorm"
     r"|FarmThroughput(Preemptive|Quantum|Faults|Timeseries)?/\d+/real_time)$"
