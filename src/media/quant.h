@@ -22,7 +22,7 @@ inline constexpr std::int32_t kMaxQuantCoeff = 1 << 16;
 
 /// Blockwise helpers.  quantize_block equals quantize_coeff on every
 /// coefficient with |c| <= kMaxQuantCoeff; it checks the QP once per
-/// block and divides by an exact per-QP reciprocal.
+/// block and multiplies by an exact per-QP reciprocal.
 Coeffs8 quantize_block(const Coeffs8& coeffs, int qp);
 Coeffs8 dequantize_block(const Coeffs8& levels, int qp);
 

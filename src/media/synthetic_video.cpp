@@ -358,7 +358,7 @@ Frame SyntheticVideo::render_luma(int index, bool all_exact,
       ++fallbacks;
     }
   }
-  if (exact_rows != nullptr) *exact_rows = all_exact ? height : fallbacks;
+  if (exact_rows != nullptr) *exact_rows = fallbacks;
   return out;
 }
 

@@ -93,8 +93,8 @@ class SyntheticVideo {
   Frame frame(int index, int* exact_rows = nullptr) const;
 
   /// frame(index) with every row rendered by the per-pixel loop that
-  /// frame() falls back to: the reference the fast path is tested and
-  /// timed against.  Byte-identical to frame(index).
+  /// frame() falls back to: the reference the tests compare the fast
+  /// path with.  Byte-identical to frame(index).
   Frame frame_exact(int index) const;
 
   /// Renders the full 4:2:0 frame: the luma of frame() plus per-scene

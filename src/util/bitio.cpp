@@ -29,23 +29,17 @@ std::vector<std::uint8_t> BitWriter::finish() {
 }
 
 std::uint64_t BitReader::peek_near_end(int count) const {
-  // An 8-byte window from the byte holding the next bit, zero-filled
-  // past the end; a field that starts mid-byte and spans more than the
-  // window's remaining 64 - skip bits takes its tail from a ninth byte.
+  // The 8-byte window from the byte holding the next bit, assembled
+  // byte by byte and zero-filled past the end; the ninth byte a field
+  // starting mid-byte could reach lies past the end too.
   const std::size_t size = bytes_.size();
   const std::uint64_t first = static_cast<std::uint64_t>(pos_ >> 3);
-  const int skip = static_cast<int>(pos_ & 7);
-  const auto byte_at = [&](std::uint64_t i) -> std::uint64_t {
-    return i < size ? bytes_[static_cast<std::size_t>(i)] : 0;
-  };
   std::uint64_t window = 0;
   for (std::uint64_t i = first; i < first + 8; ++i) {
-    window = (window << 8) | byte_at(i);
+    window = (window << 8) |
+             (i < size ? bytes_[static_cast<std::size_t>(i)] : 0);
   }
-  std::uint64_t v = (window << skip) >> (64 - count);
-  const int tail = count + skip - 64;
-  if (tail > 0) v |= byte_at(first + 8) >> (8 - tail);
-  return v;
+  return (window << (pos_ & 7)) >> (64 - count);
 }
 
 std::uint64_t BitReader::get_bits(int count) {
