@@ -209,7 +209,8 @@ void serial_encode_block(SerialWriter& bw, const media::Coeffs8& levels) {
   const auto& zz = media::zigzag_order();
   int run = 0;
   for (int i = 0; i < 64; ++i) {
-    const std::int32_t v = levels[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])];
+    const std::int32_t v =
+        levels[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])];
     if (v == 0) {
       ++run;
       continue;
